@@ -12,6 +12,7 @@ assigned more than once.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +20,10 @@ import numpy as np
 from .errors import ParameterError, StageFailure
 from .graphs import Graph, IndexMap, components_with_order, induced_subgraph
 from .labeling import (
+    DISTINGUISHED_ORD,
     STAGE_DISTINGUISHED,
     STAGE_TUNED,
+    TUNED_ORD,
     Budgets,
     WeightingState,
 )
@@ -65,9 +68,7 @@ def pair_of(value: int, m: int) -> PairSet:
     """The unique family member containing ``value``."""
     if m < 1:
         raise ParameterError(f"pair step must be >= 1, got {m}")
-    q, a = divmod(value, m)
-    low = value if q % 2 == 0 else value - m
-    del a
+    low = value if (value // m) % 2 == 0 else value - m
     return PairSet(low=low, m=m)
 
 
@@ -75,7 +76,6 @@ def pair_of(value: int, m: int) -> PairSet:
 class _AlgoState:
     """Mutable bookkeeping shared across components."""
 
-    m: int
     analyzed: np.ndarray
     anchor_low: np.ndarray
     class_values: list[set[int]]
@@ -130,23 +130,30 @@ class _Ctx:
     class_sizes: np.ndarray
 
 
-def _apply_edge_delta(ctx: _Ctx, eid: int, u: int, v: int, delta: int, st: _AlgoState) -> None:
-    """Add delta to edge eid = (u, v), maintaining sigma caches and the
-    analyzed-degree multiset for any analyzed endpoint."""
-    if delta == 0:
+def _apply_edge_deltas(
+    ctx: _Ctx, st: _AlgoState, v: int, nbrs: np.ndarray | int, eids: np.ndarray | int, delta: int
+) -> None:
+    """Add delta to every edge eids[i] = (v, nbrs[i]), maintaining sigma
+    caches and the analyzed-degree multiset for any analyzed endpoint.
+    The neighbors are distinct and differ from v."""
+    nbrs, eids = np.atleast_1d(nbrs), np.atleast_1d(eids)
+    if delta == 0 or eids.size == 0:
         return
-    ctx.state.weights[eid] += delta
-    ctx.state.mod_count[eid] += 1
-    ctx.state.last_mod_stage[eid] = 2
-    for w in (u, v):
-        old = int(ctx.state.sigma[w])
-        new = old + delta
-        ctx.state.sigma[w] = new
-        if st.analyzed[w]:
-            st.sigma_counts[old] -= 1
-            if st.sigma_counts[old] <= 0:
-                del st.sigma_counts[old]
-            st.sigma_counts[new] += 1
+    state = ctx.state
+    state.weights[eids] += delta
+    state.mod_count[eids] += 1
+    state.last_mod_stage[eids] = DISTINGUISHED_ORD
+    ends = np.append(nbrs, v)
+    shift = np.full(ends.size, delta, dtype=np.int64)
+    shift[-1] = delta * eids.size
+    old = state.sigma[ends]
+    new = old + shift
+    state.sigma[ends] = new
+    watched = st.analyzed[ends]
+    if watched.any():
+        # readers only ask whether a count is positive, so zero counts may stay
+        st.sigma_counts.subtract(old[watched].tolist())
+        st.sigma_counts.update(new[watched].tolist())
 
 
 def _vertex_edges(ctx: _Ctx, v_local: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,25 +165,25 @@ def _vertex_edges(ctx: _Ctx, v_local: int) -> tuple[np.ndarray, np.ndarray]:
     return ctx.imap.new_to_old[nbrs_local].astype(np.int64), ctx.imap.edge_parent[sub_eids].astype(np.int64)
 
 
+_Edges = tuple[np.ndarray, np.ndarray]
+
+
 def _split_backward(
-    ctx: _Ctx, st: _AlgoState, nbrs: np.ndarray, eids: np.ndarray, skip_eids: set[int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    ctx: _Ctx, st: _AlgoState, nbrs: np.ndarray, eids: np.ndarray, skip_eids: Iterable[int] = ()
+) -> tuple[_Edges, _Edges]:
     """Analyzed neighbors split by allowed coarse direction.
 
-    Returns (plus, minus) as (neighbor, edge) lists: plus edges may gain
-    m (their endpoint sits at the low element of its pair), minus edges
-    may lose m. Edges in skip_eids are left out entirely.
+    Returns (plus, minus), each as (neighbors, edges) arrays in ascending
+    neighbor order: plus edges may gain m (their endpoint sits at the low
+    element of its pair), minus edges may lose m. Edges in skip_eids are
+    left out entirely.
     """
-    plus: list[tuple[int, int]] = []
-    minus: list[tuple[int, int]] = []
-    for nb, eid in zip(nbrs.tolist(), eids.tolist()):
-        if eid in skip_eids or not st.analyzed[nb]:
-            continue
-        if ctx.state.sigma[nb] == st.anchor_low[nb]:
-            plus.append((nb, eid))
-        else:
-            minus.append((nb, eid))
-    return plus, minus
+    keep = st.analyzed[nbrs]
+    for eid in skip_eids:
+        keep &= eids != eid
+    nbrs, eids = nbrs[keep], eids[keep]
+    up = ctx.state.sigma[nbrs] == st.anchor_low[nbrs]
+    return (nbrs[up], eids[up]), (nbrs[~up], eids[~up])
 
 
 def _realize_coarse(
@@ -184,23 +191,24 @@ def _realize_coarse(
     st: _AlgoState,
     v: int,
     moves: int,
-    plus: list[tuple[int, int]],
-    minus: list[tuple[int, int]],
+    plus: _Edges,
+    minus: _Edges,
     avoid_eid: int | None,
 ) -> None:
     """Apply |moves| coarse steps (sign of ``moves`` chooses direction)
     on backward edges in descending neighbor order, skipping avoid_eid."""
     if moves == 0:
         return
-    pool = plus if moves > 0 else minus
-    delta = ctx.m if moves > 0 else -ctx.m
-    usable = [(nb, eid) for nb, eid in pool if eid != avoid_eid]
-    usable.sort(key=lambda t: -t[0])
+    nbrs, eids = plus if moves > 0 else minus
+    if avoid_eid is not None:
+        keep = eids != avoid_eid
+        nbrs, eids = nbrs[keep], eids[keep]
     need = abs(moves)
-    if len(usable) < need:
+    if eids.size < need:
         raise RuntimeError("coarse realization short of edges; selection logic broken")
-    for nb, eid in usable[:need]:
-        _apply_edge_delta(ctx, eid, v, nb, delta, st)
+    # neighbors ascend, so the highest ``need`` of them are the last ones
+    top = eids.size - need
+    _apply_edge_deltas(ctx, st, v, nbrs[top:], eids[top:], ctx.m if moves > 0 else -ctx.m)
 
 
 def _process_vertex(ctx: _Ctx, st: _AlgoState, v_local: int) -> None:
@@ -209,12 +217,11 @@ def _process_vertex(ctx: _Ctx, st: _AlgoState, v_local: int) -> None:
     klass = int(ctx.part.klass[v])
     m = ctx.m
     nbrs, eids = _vertex_edges(ctx, v_local)
-    plus, minus = _split_backward(ctx, st, nbrs, eids, skip_eids=set())
-    amask = st.analyzed[nbrs]
-    fwd_nbrs = nbrs[~amask]
-    fwd_eids = eids[~amask]
+    plus, minus = _split_backward(ctx, st, nbrs, eids)
+    fwd = ~st.analyzed[nbrs]
+    fwd_nbrs, fwd_eids = nbrs[fwd], eids[fwd]
 
-    b_plus, b_minus, f = len(plus), len(minus), int(fwd_nbrs.size)
+    b_plus, b_minus, f = plus[1].size, minus[1].size, int(fwd_nbrs.size)
     d_u = b_plus + b_minus + f
     sigma_cur = int(ctx.state.sigma[v])
     lo = sigma_cur - b_minus * m
@@ -254,8 +261,7 @@ def _process_vertex(ctx: _Ctx, st: _AlgoState, v_local: int) -> None:
     pos = 0
     while rem > 0:
         t = min(rem, m)
-        eid = int(fwd_eids[pos])
-        _apply_edge_delta(ctx, eid, v, int(fwd_nbrs[pos]), t, st)
+        _apply_edge_deltas(ctx, st, v, fwd_nbrs[pos], fwd_eids[pos], t)
         rem -= t
         pos += 1
     if int(ctx.state.sigma[v]) != target:
@@ -283,9 +289,13 @@ def _settle_endgame_vertex(
     m = ctx.m
     nbrs, eids = _vertex_edges(ctx, v_local)
     plus, minus = _split_backward(ctx, st, nbrs, eids, skip_eids=excluded_eids)
-    b_plus, b_minus = len(plus), len(minus)
+    b_plus, b_minus = plus[1].size, minus[1].size
     sigma_cur = int(ctx.state.sigma[v])
-    anchor_by_nbr = {nb: eid for nb, eid in plus + minus}
+    back_eids = np.concatenate([plus[1], minus[1]])
+    # position in back_eids of the first edge (plus before minus) to a holder of each pair
+    holder: dict[int, int] = {}
+    for pos, low in enumerate(st.anchor_low[np.concatenate([plus[0], minus[0]])].tolist()):
+        holder.setdefault(low, pos)
 
     chosen_k: int | None = None
     chosen_avoid: int | None = None
@@ -296,13 +306,10 @@ def _settle_endgame_vertex(
             continue
         if st.sigma_counts.get(value, 0) > 0:
             continue
-        avoid_eid: int | None = None
-        for nb, eid in anchor_by_nbr.items():
-            if st.anchor_low[nb] == pair.low:
-                avoid_eid = eid
-                break
-        eff_plus = b_plus - (1 if any(e == avoid_eid for _, e in plus) else 0)
-        eff_minus = b_minus - (1 if any(e == avoid_eid for _, e in minus) else 0)
+        pos = holder.get(pair.low)
+        avoid_eid = None if pos is None else int(back_eids[pos])
+        eff_plus = b_plus - (pos is not None and pos < b_plus)
+        eff_minus = b_minus - (pos is not None and pos >= b_plus)
         realizable = -eff_minus <= k <= eff_plus
         if ctx.params.strict:
             if -b_minus < k < b_plus and realizable:
@@ -366,7 +373,7 @@ def _check_endgame_thresholds(ctx: _Ctx, u1: int, u0: int, d_u1: int, d_u0: int)
 
 
 def _endgame_general(
-    ctx: _Ctx, st: _AlgoState, u1_local: int, u0_local: int
+    ctx: _Ctx, st: _AlgoState, u1_local: int, u0_local: int, size: int
 ) -> ComponentRecord:
     u1 = int(ctx.imap.new_to_old[u1_local])
     u0 = int(ctx.imap.new_to_old[u0_local])
@@ -392,7 +399,7 @@ def _endgame_general(
             ),
             witness={"edge": (u1, u0), "count": c_max},
         )
-    _apply_edge_delta(ctx, e_star, u1, u0, wv - m, st)
+    _apply_edge_deltas(ctx, st, u1, u0, e_star, wv - m)
 
     s_t = st.multi_pair_lows()
     pair1 = _settle_endgame_vertex(
@@ -402,10 +409,9 @@ def _endgame_general(
     # a single edge from the root to a holder of pair1 leaves the progression
     nbrs0, eids0 = _vertex_edges(ctx, u0_local)
     extra_excluded: set[int] = {e_star}
-    for nb, eid in zip(nbrs0.tolist(), eids0.tolist()):
-        if eid != e_star and st.anchor_low[nb] == pair1.low and st.analyzed[nb]:
-            extra_excluded.add(int(eid))
-            break
+    hit = np.flatnonzero((eids0 != e_star) & st.analyzed[nbrs0] & (st.anchor_low[nbrs0] == pair1.low))
+    if hit.size:
+        extra_excluded.add(int(eids0[hit[0]]))
     _settle_endgame_vertex(
         ctx,
         st,
@@ -417,7 +423,7 @@ def _endgame_general(
     st.endgame.extend([u1, u0])
     return ComponentRecord(
         root=u0,
-        size=-1,
+        size=size,
         endgame_edge_value=wv,
         last_two_sigmas=(int(ctx.state.sigma[u1]), int(ctx.state.sigma[u0])),
     )
@@ -447,7 +453,7 @@ def _endgame_two_vertex(
             continue
         if p0.low in s_t or p0.low == p1.low or st.sigma_counts.get(s0, 0) > 0:
             continue
-        _apply_edge_delta(ctx, e_star, u1, u0, wv - m, st)
+        _apply_edge_deltas(ctx, st, u1, u0, e_star, wv - m)
         st.register(u1, int(ctx.part.klass[u1]), p1, s1)
         st.register(u0, int(ctx.part.klass[u0]), p0, s0)
         st.endgame.extend([u1, u0])
@@ -506,7 +512,7 @@ def run_distinguishing(
     peids = imap.edge_parent
     if peids.size:
         state.weights[peids] += m
-        state.last_mod_stage[peids] = 2
+        state.last_mod_stage[peids] = DISTINGUISHED_ORD
         np.add.at(state.sigma, g.edges[peids, 0].astype(np.int64), m)
         np.add.at(state.sigma, g.edges[peids, 1].astype(np.int64), m)
 
@@ -521,7 +527,6 @@ def run_distinguishing(
         class_sizes=part.class_sizes(),
     )
     st = _AlgoState(
-        m=m,
         analyzed=np.zeros(g.n, dtype=bool),
         anchor_low=np.zeros(g.n, dtype=np.int64),
         class_values=[set() for _ in range(7)],
@@ -539,9 +544,7 @@ def run_distinguishing(
         else:
             for pos in range(size - 2):
                 _process_vertex(ctx, st, int(comp.order[pos]))
-            rec = _endgame_general(ctx, st, int(comp.order[-2]), int(comp.order[-1]))
-            rec.size = size
-            records.append(rec)
+            records.append(_endgame_general(ctx, st, int(comp.order[-2]), int(comp.order[-1]), size))
 
     state.stage = STAGE_DISTINGUISHED
 
@@ -637,7 +640,7 @@ def separation_checks(
             vbad = int(v0[np.nonzero(moved)[0][0]])
             edge_note = ""
             eids = g.incident_edges(vbad)
-            late = eids[state.last_mod_stage[eids] > 1]
+            late = eids[state.last_mod_stage[eids] > TUNED_ORD]
             if late.size:
                 u, w = g.edges[int(late[0])]
                 edge_note = f" via edge ({u},{w})"

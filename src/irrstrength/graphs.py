@@ -74,6 +74,24 @@ class Graph:
         np.cumsum(counts, out=self.indptr[1:])
         self.degrees: np.ndarray = counts.astype(np.int32)
 
+    @classmethod
+    def _from_arrays(
+        cls, n: int, edges: np.ndarray, indices: np.ndarray, edge_ids: np.ndarray, degrees: np.ndarray
+    ) -> Graph:
+        """A graph from arrays already in canonical and CSR order, as
+        ``__init__`` would build them; nothing is checked or re-sorted."""
+        g = cls.__new__(cls)
+        g.n = int(n)
+        g.edges = edges
+        g.num_edges = int(len(edges))
+        g._keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
+        g.indices = indices
+        g.edge_ids = edge_ids
+        g.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=g.indptr[1:])
+        g.degrees = degrees
+        return g
+
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbors of v in ascending order (view, do not mutate)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -104,6 +122,28 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
+    """Per-vertex sum of incident edge weights, exact in int64.
+
+    Sums that could leave the int64 range are refused rather than
+    wrapped, so every answer returned is the true integer sum.
+    """
+    weights = np.asarray(weights)
+    if weights.shape != (g.num_edges,):
+        raise InputFormatError(
+            f"weight vector covers {weights.shape} entries, graph has {g.num_edges} edges"
+        )
+    sigma = np.zeros(g.n, dtype=np.int64)
+    if g.num_edges:
+        w = weights.astype(np.int64, copy=False)
+        peak = max(-int(w.min()), int(w.max())) * int(g.degrees.max())
+        if peak > np.iinfo(np.int64).max:
+            raise InputFormatError("weighted degrees may exceed the 64-bit integer range")
+        np.add.at(sigma, g.edges[:, 0], w)
+        np.add.at(sigma, g.edges[:, 1], w)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +359,34 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
 
     Vertices are relabeled 0..k-1 in ascending parent order; that keeps
     the relabeling monotone, so canonical edge order is preserved and
-    ``edge_parent[i]`` is the parent edge id of sub edge i.
+    ``edge_parent[i]`` is the parent edge id of sub edge i. For the same
+    reason the parent's CSR arrays, filtered to the kept edges, are
+    already the subgraph's.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
     if verts.size and (verts[0] < 0 or verts[-1] >= graph.n):
         raise ParameterError("subgraph vertex outside parent range")
+    k = int(verts.size)
     old_to_new = np.full(graph.n, -1, dtype=np.int32)
-    old_to_new[verts] = np.arange(verts.size, dtype=np.int32)
+    old_to_new[verts] = np.arange(k, dtype=np.int32)
     inside = np.zeros(graph.n, dtype=bool)
     inside[verts] = True
-    emask = inside[graph.edges[:, 0]] & inside[graph.edges[:, 1]]
-    sub_edges = old_to_new[graph.edges[emask]]
-    sub = Graph(int(verts.size), sub_edges)
-    return sub, IndexMap(
-        new_to_old=verts.astype(np.int32),
-        old_to_new=old_to_new,
-        edge_parent=np.nonzero(emask)[0].astype(np.int32),
+    ends = inside[graph.edges]
+    emask = ends[:, 0] & ends[:, 1]
+    del ends
+    edge_parent = np.flatnonzero(emask).astype(np.int32)
+    # parent edge id -> sub edge id, valid on kept edges
+    eid_map = np.cumsum(emask, dtype=np.int32) - 1
+    entries = np.flatnonzero(emask[graph.edge_ids])
+    sub_edges = old_to_new[graph.edges[edge_parent]]
+    sub = Graph._from_arrays(
+        k,
+        sub_edges,
+        old_to_new[graph.indices[entries]],
+        eid_map[graph.edge_ids[entries]],
+        np.bincount(sub_edges.ravel(), minlength=k).astype(np.int32),
     )
+    return sub, IndexMap(new_to_old=verts.astype(np.int32), old_to_new=old_to_new, edge_parent=edge_parent)
 
 
 @dataclass
@@ -368,18 +419,22 @@ def components_with_order(graph: Graph) -> list[ComponentOrder]:
             continue
         seen[root] = True
         bfs = [root]
-        parent = {root: -1}
+        parent = [-1]
         head = 0
         while head < len(bfs):
             v = bfs[head]
             head += 1
-            for u in graph.neighbors(v):
-                u = int(u)
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    bfs.append(u)
-        order = np.array(bfs[::-1], dtype=np.int64)
-        forward = np.array([parent[int(v)] for v in order], dtype=np.int64)
-        out.append(ComponentOrder(order=order, forward=forward))
+            # neighbors are distinct, so marking them all at once visits
+            # them in the same ascending order as one at a time
+            nb = graph.neighbors(v)
+            fresh = nb[~seen[nb]]
+            seen[fresh] = True
+            bfs.extend(fresh.tolist())
+            parent.extend([v] * fresh.size)
+        out.append(
+            ComponentOrder(
+                order=np.array(bfs[::-1], dtype=np.int64),
+                forward=np.array(parent[::-1], dtype=np.int64),
+            )
+        )
     return out

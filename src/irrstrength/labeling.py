@@ -16,7 +16,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph
+from .graphs import Graph, weighted_degrees
 from .partition import PipelineParams, VertexPartition
 from .report import ConditionCheck, ConditionReport
 from .seeds import derive_seed
@@ -27,8 +27,12 @@ STAGE_TUNED = "tuned"
 STAGE_DISTINGUISHED = "distinguished"
 STAGE_FINAL = "final"
 _STAGE_ORDER = (STAGE_INITIAL, STAGE_TUNED, STAGE_DISTINGUISHED, STAGE_FINAL)
+# stage ordinals as stored in WeightingState.last_mod_stage
+TUNED_ORD = _STAGE_ORDER.index(STAGE_TUNED)
+DISTINGUISHED_ORD = _STAGE_ORDER.index(STAGE_DISTINGUISHED)
 
 _NEAR_INTEGER_TOL = 1e-9
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +289,8 @@ class WeightingState:
             raise ParameterError(f"operation requires stage {expected!r}, state is at {self.stage!r}")
 
 
-def recompute_sigma(g: Graph, weights: np.ndarray) -> np.ndarray:
-    """Independent weighted-degree recomputation (the cache oracle)."""
-    w = weights.astype(np.float64)
-    s = np.bincount(g.edges[:, 0], weights=w, minlength=g.n)
-    s += np.bincount(g.edges[:, 1], weights=w, minlength=g.n)
-    # integer sums well below 2^53 stay exact in float64
-    return s.astype(np.int64)
+# the weighted-degree oracle under its older name, for callers that import it
+recompute_sigma = weighted_degrees
 
 
 def initial_weighting(
@@ -299,24 +298,21 @@ def initial_weighting(
 ) -> WeightingState:
     """Base weighting: heavy inner V0 edges get base, V0-U edges get
     base + class * class_step, U-edges start at zero."""
-    eu, ev = g.edges[:, 0].astype(np.int64), g.edges[:, 1].astype(np.int64)
-    ku, kv = part.klass[eu].astype(np.int64), part.klass[ev].astype(np.int64)
-    w = np.zeros(g.num_edges, dtype=np.int64)
+    ends = part.klass[g.edges]
+    ku, kv = ends[:, 0], ends[:, 1]
+    # the class is int8, so the product is taken in int64
+    w = np.multiply(np.maximum(ku, kv), budgets.class_step, dtype=np.int64)
+    w += budgets.base
+    w *= (ku == 0) != (kv == 0)
 
-    inner = (ku == 0) & (kv == 0)
-    iu, iv = eu[inner], ev[inner]
-    heavy = xa.x[iu] + xa.x[iv] >= 1.0
-    wi = np.where(heavy, np.int64(budgets.base), np.int64(0))
-    w[inner] = wi
-
-    cross = (ku == 0) != (kv == 0)
-    klass_edge = np.maximum(ku, kv)[cross]
-    w[cross] = budgets.base + klass_edge * budgets.class_step
+    inner = np.flatnonzero((ku == 0) & (kv == 0))
+    heavy = xa.x[g.edges[inner, 0]] + xa.x[g.edges[inner, 1]] >= 1.0
+    w[inner[heavy]] = budgets.base
 
     return WeightingState(
         stage=STAGE_INITIAL,
         weights=w,
-        sigma=recompute_sigma(g, w),
+        sigma=weighted_degrees(g, w),
         mod_count=np.zeros(g.num_edges, dtype=np.int16),
         last_mod_stage=np.zeros(g.num_edges, dtype=np.int8),
     )
@@ -396,12 +392,12 @@ def assign_omega_prime(
         u_eids = eids[part.in_u[nbrs]]
         full, rem = divmod(delta, cap)
         w[u_eids[:full]] += cap
-        state.last_mod_stage[u_eids[:full]] = 1
+        state.last_mod_stage[u_eids[:full]] = TUNED_ORD
         if rem:
             w[u_eids[full]] += rem
-            state.last_mod_stage[u_eids[full]] = 1
+            state.last_mod_stage[u_eids[full]] = TUNED_ORD
 
-    state.sigma = recompute_sigma(g, w)
+    state.sigma = weighted_degrees(g, w)
     if not np.array_equal(state.sigma[order], targets):
         raise RuntimeError("tuning stage failed to hit its targets; internal invariant broken")
     state.stage = STAGE_TUNED
@@ -481,6 +477,8 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
                 u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError:
                 raise InputFormatError(f"line {lineno}: non-integer field in {text!r}") from None
+            if not _INT64_MIN <= wt <= _INT64_MAX:
+                raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
             eid = g.edge_between(u, v)
             if eid is None:
                 raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .distinguish import DistinguishDiagnostics, run_distinguishing, separation_checks
@@ -191,42 +193,36 @@ def run_pipeline(
         return fail("entry", "parameter", str(exc))
 
     try:
-        t0 = time.perf_counter()
-        part, prep, attempts = find_partition(g, params, seed)
-        clock.append(("partition", time.perf_counter() - t0))
+        with _timed(clock, "partition"):
+            part, prep, attempts = find_partition(g, params, seed)
         result.partition = part
         result.partition_report = prep
         result.partition_attempts = attempts
 
-        t0 = time.perf_counter()
-        xa, xrep, xattempts = find_x(g, part, params, seed)
-        clock.append(("x", time.perf_counter() - t0))
+        with _timed(clock, "x"):
+            xa, xrep, xattempts = find_x(g, part, params, seed)
         result.x_report = xrep
         result.x_attempts = xattempts
 
-        t0 = time.perf_counter()
-        state = initial_weighting(g, part, xa, budgets)
-        result.state = state
-        result.feasibility = assign_omega_prime(g, part, xa, budgets, state, params)
-        clock.append(("tuning", time.perf_counter() - t0))
+        with _timed(clock, "tuning"):
+            state = initial_weighting(g, part, xa, budgets)
+            result.state = state
+            result.feasibility = assign_omega_prime(g, part, xa, budgets, state, params)
 
-        t0 = time.perf_counter()
-        result.diagnostics = run_distinguishing(g, part, budgets, state, params)
-        clock.append(("distinguish", time.perf_counter() - t0))
+        with _timed(clock, "distinguish"):
+            result.diagnostics = run_distinguishing(g, part, budgets, state, params)
 
-        t0 = time.perf_counter()
-        sep = separation_checks(g, part, state, budgets)
+        with _timed(clock, "separation"):
+            sep = separation_checks(g, part, state, budgets)
         result.separation = sep
-        clock.append(("separation", time.perf_counter() - t0))
         if not sep.passed:
             worst = sep.worst()
             detail = worst.line() if worst is not None else "unknown"
             return fail("separation", "separation", f"ordering violated: {detail}")
 
-        t0 = time.perf_counter()
-        ver = finalize_and_check(g, state, budgets)
+        with _timed(clock, "verify"):
+            ver = finalize_and_check(g, state, budgets)
         result.verification = ver
-        clock.append(("verify", time.perf_counter() - t0))
         if not ver.irregular:
             w = ver.witness
             return fail(
@@ -250,6 +246,16 @@ def run_pipeline(
     if emit_timings:
         _print_timings(clock)
     return result
+
+
+@contextmanager
+def _timed(clock: list[tuple[str, float]], stage: str) -> Iterator[None]:
+    """Append the stage's wall time to ``clock``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        clock.append((stage, time.perf_counter() - t0))
 
 
 def _print_timings(clock: list[tuple[str, float]]) -> None:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputFormatError, ParameterError
-from .graphs import Graph
+from .errors import ParameterError
+from .graphs import Graph, weighted_degrees
 from .labeling import STAGE_DISTINGUISHED, STAGE_FINAL, Budgets, WeightingState
 
 
@@ -37,21 +37,6 @@ class VerificationResult:
             f"vertices={self.n}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
-    """Per-vertex sum of incident edge weights, exact in int64."""
-    weights = np.asarray(weights)
-    if weights.shape != (g.num_edges,):
-        raise InputFormatError(
-            f"weight vector covers {weights.shape} entries, graph has {g.num_edges} edges"
-        )
-    sigma = np.zeros(g.n, dtype=np.float64)
-    if g.num_edges:
-        w = weights.astype(np.float64)
-        sigma += np.bincount(g.edges[:, 0], weights=w, minlength=g.n)
-        sigma += np.bincount(g.edges[:, 1], weights=w, minlength=g.n)
-    return sigma.astype(np.int64)
 
 
 def _smallest_collision(sigma: np.ndarray) -> tuple[int, int] | None:

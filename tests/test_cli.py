@@ -4,6 +4,9 @@ exit codes, file outputs, and byte-level determinism."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,6 +205,20 @@ class TestVerify:
         rc = main(["verify", "--graph", str(graph), "--weights", str(bad)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_label_beyond_int64_exits_3_without_traceback(self, tmp_path):
+        graph = write_p3(tmp_path)
+        weights = write_weights(tmp_path, "w.csv", [(0, 1, 99999999999999999999), (1, 2, 1)])
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "irrstrength", "verify", "--graph", str(graph), "--weights", str(weights)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: line 2: weight 99999999999999999999 outside")
+        assert "Traceback" not in done.stderr
 
 
 class TestExact:

@@ -1,0 +1,41 @@
+"""Golden outputs at the n=5000 reference point.
+
+The expected hashes are the ones the benchmark recorded in
+perfbench/goldens.json; this module only reads them. Pipeline seed 0
+clears every weighting stage, so it covers the distinguishing pass;
+seed 1 stops at tuning.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from irrstrength import PipelineParams, generate_random_regular, run_pipeline
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reference_graph():
+    return generate_random_regular(5000, 1242, seed=424242)
+
+
+@pytest.mark.parametrize("seed, keys", [(0, {"report", "weights", "sigma"}), (1, {"report"})])
+def test_pipeline_matches_goldens(reference_graph, seed, keys):
+    want = json.loads(GOLDENS.read_text(encoding="utf-8"))["pipeline_5000"][str(seed)]
+    assert set(want) == keys
+    res = run_pipeline(reference_graph, PipelineParams(b=0.2, eps=0.05, mode="empirical"), seed=seed)
+    got = {"report": sha256(res.to_text().encode("utf-8"))}
+    if "weights" in want:
+        for name in ("weights", "sigma"):
+            got[name] = sha256(np.ascontiguousarray(getattr(res.state, name), dtype="<i8").tobytes())
+    assert got == want

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     Graph,
@@ -231,3 +233,66 @@ class TestComponentOrdering:
         g = Graph(3, [(1, 2)])
         comps = components_with_order(g)
         assert [len(c.order) for c in comps] == [1, 2]
+
+
+@st.composite
+def graphs_with_subsets(draw) -> tuple[Graph, list[int]]:
+    """A random simple graph on up to 14 vertices and a vertex list that
+    may repeat ids and come in any order."""
+    n = draw(st.integers(0, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    verts = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return Graph(n, edges), verts
+
+
+def reference_components(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """FIFO BFS one neighbor at a time: (order, forward) per component."""
+    seen = [False] * g.n
+    out = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        bfs, parent, head = [root], {root: -1}, 0
+        while head < len(bfs):
+            v = bfs[head]
+            head += 1
+            for u in g.neighbors(v).tolist():
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    bfs.append(u)
+        out.append((bfs[::-1], [parent[v] for v in bfs[::-1]]))
+    return out
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_subsets())
+    def test_induced_subgraph_equals_rebuild(self, case):
+        g, verts = case
+        kept = np.unique(np.array(verts, dtype=np.int64))
+        old_to_new = np.full(g.n, -1, dtype=np.int32)
+        old_to_new[kept] = np.arange(kept.size, dtype=np.int32)
+        inside = np.isin(g.edges, kept).all(axis=1)
+        ref = Graph(int(kept.size), old_to_new[g.edges[inside]])
+
+        sub, imap = induced_subgraph(g, np.array(verts, dtype=np.int64))
+        assert sub.n == ref.n and sub.num_edges == ref.num_edges
+        for name in ("edges", "indices", "edge_ids", "indptr", "degrees"):
+            got, want = getattr(sub, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert np.array_equal(imap.new_to_old, kept)
+        assert np.array_equal(imap.old_to_new, old_to_new)
+        assert np.array_equal(imap.edge_parent, np.flatnonzero(inside))
+        for eid, (u, v) in enumerate(ref.edges.tolist()):
+            assert sub.edge_between(u, v) == eid
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_subsets())
+    def test_components_match_reference_bfs(self, case):
+        g, _ = case
+        got = [(c.order.tolist(), c.forward.tolist()) for c in components_with_order(g)]
+        assert got == reference_components(g)

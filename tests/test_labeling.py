@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     Budgets,
@@ -27,6 +29,7 @@ from irrstrength import (
     write_weights_csv,
 )
 from irrstrength.labeling import _ceil_log_term
+from tests.test_partition import regular_graphs
 
 
 def empirical(slack: float = 1.0, retries: int = 100) -> PipelineParams:
@@ -251,6 +254,36 @@ class TestInitialWeighting:
         g, part, xa, budgets = tiny_instance()
         state = initial_weighting(g, part, xa, budgets)
         assert np.array_equal(state.sigma, recompute_sigma(g, state.weights))
+
+
+class TestInitialWeightingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        regular_graphs(),
+        st.integers(0, 2**32),
+        st.integers(1, 10**6),
+        st.integers(1, 10**9),
+    )
+    def test_matches_int64_copy_formula(self, g, seed, base, class_step):
+        part = sample_partition(g, empirical(), seed=seed)
+        assume(part.n0 > 0)
+        xa = sample_x(g, part, seed=seed + 1)
+        budgets = Budgets(
+            base=base, class_step=class_step, fine_cap=1, coarse_step=1, target_base=0, delta_span=1
+        )
+        state = initial_weighting(g, part, xa, budgets)
+        # reference: every operand widened to int64 before any arithmetic
+        eu, ev = g.edges[:, 0].astype(np.int64), g.edges[:, 1].astype(np.int64)
+        ku, kv = part.klass[eu].astype(np.int64), part.klass[ev].astype(np.int64)
+        want = np.zeros(g.num_edges, dtype=np.int64)
+        inner = (ku == 0) & (kv == 0)
+        heavy = xa.x[eu[inner]] + xa.x[ev[inner]] >= 1.0
+        want[inner] = np.where(heavy, np.int64(base), np.int64(0))
+        cross = (ku == 0) != (kv == 0)
+        want[cross] = base + np.maximum(ku, kv)[cross] * class_step
+        assert state.weights.dtype == np.int64
+        assert np.array_equal(state.weights, want)
+        assert np.array_equal(state.sigma, recompute_sigma(g, want))
 
 
 class TestAssignOmegaPrime:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     ParameterError,
@@ -171,3 +173,27 @@ class TestFindPartition:
         c = find_partition(g, p, seed=7)
         assert a[2] == c[2] == 6  # takes several resamples at this slack
         assert np.array_equal(a[0].klass, c[0].klass)
+
+
+@st.composite
+def regular_graphs(draw):
+    """A random d-regular graph on 3..30 vertices, d in 0..6."""
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(0, min(6, n - 1)))
+    if (n * d) % 2:
+        d -= 1
+    return generate_random_regular(n, d, seed=draw(st.integers(0, 2**32)))
+
+
+class TestSamplePartitionProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(regular_graphs(), st.integers(0, 2**32))
+    def test_counts_match_flat_bincount(self, g, seed):
+        part = sample_partition(g, empirical(), seed=seed)
+        # reference: one flat bincount over int64 (vertex, class) keys
+        src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+        keys = src * 8 + part.klass[g.indices].astype(np.int64)
+        counts = np.bincount(keys, minlength=8 * g.n).reshape(g.n, 8)
+        assert np.array_equal(part.dui, counts[:, 1:8]) and part.dui.dtype == np.int32
+        assert np.array_equal(part.du, counts[:, 1:8].sum(axis=1)) and part.du.dtype == np.int32
+        assert np.array_equal(part.d0, counts[:, 0]) and part.d0.dtype == np.int32

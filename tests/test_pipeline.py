@@ -93,6 +93,13 @@ class TestStageFailures:
         assert res.x_report is not None
         assert res.feasibility is None
 
+    def test_timings_keep_the_failing_stage(self):
+        g = generate_random_regular(2000, 40, seed=3)
+        res = run_pipeline(g, empirical(slack=1e6), seed=1)
+        assert res.failure_kind == "delta_infeasible"
+        assert [stage for stage, _ in res.timings] == ["partition", "x", "tuning"]
+        assert all(seconds > 0 for _, seconds in res.timings)
+
     def test_partition_exhaustion_surfaces(self):
         g = generate_random_regular(100, 10, seed=3)
         res = run_pipeline(g, empirical(retries=2), seed=1)

@@ -47,6 +47,33 @@ class TestWeightedDegrees:
         with pytest.raises(InputFormatError):
             weighted_degrees(g, np.array([1, 2, 3]))
 
+    def test_exact_beyond_float_precision(self):
+        # 2^53 + 1 has no float64; a float sum returned 2^53 for both edges
+        g = Graph(4, [(0, 1), (2, 3)])
+        sig = weighted_degrees(g, np.array([2**53, 2**53 + 1], dtype=np.int64))
+        assert sig.tolist() == [2**53, 2**53, 2**53 + 1, 2**53 + 1]
+        assert is_irregular(g, np.array([2**53, 2**53 + 1], dtype=np.int64)).witness == (0, 1)
+
+    def test_true_collision_beyond_float_precision(self):
+        # on C10 the exact degrees of vertices 0 and 8 tie; float64 sums
+        # had rounded them apart and called the weighting irregular
+        g = cycle(10)
+        offsets = [0, -3, 8, 3, -1, -5, -3, -7, -6, 3]
+        w = np.array([2**53 + o for o in offsets], dtype=np.int64)
+        want = [0] * 10
+        for (u, v), wt in zip(g.edges.tolist(), w.tolist()):
+            want[u] += wt
+            want[v] += wt
+        assert weighted_degrees(g, w).tolist() == want
+        res = is_irregular(g, w)
+        assert not res.irregular
+        assert res.witness == (0, 8)
+
+    def test_sum_beyond_int64_refused(self):
+        g = path_graph(3)
+        with pytest.raises(InputFormatError):
+            weighted_degrees(g, np.array([2**62, 2**62], dtype=np.int64))
+
 
 class TestIsIrregular:
     def test_pass_case(self):
