@@ -49,7 +49,6 @@ from .labeling import (
     find_x,
     initial_weighting,
     read_weights_csv,
-    recompute_sigma,
     sample_x,
     write_weights_csv,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "read_edge_list",
     "read_graph6",
     "read_weights_csv",
-    "recompute_sigma",
     "regular_lower_bound",
     "run_distinguishing",
     "run_pipeline",

@@ -22,7 +22,7 @@ from .graphs import (
     write_graph6,
 )
 from .lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
-from .labeling import compute_budgets, read_weights_csv, write_weights_csv
+from .labeling import compute_budgets, read_weights_csv, weight_rows, write_weights_csv
 from .partition import MODE_EMPIRICAL, MODE_STRICT, PipelineParams
 from .pipeline import run_pipeline, strict_degree_window
 from .seeds import derive_seed
@@ -126,10 +126,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     res = exact_strength(g, k_max=args.kmax)
     sys.stdout.write(res.to_text())
     if res.witness is not None:
-        sys.stdout.write("u,v,weight\n")
-        for eid in range(g.num_edges):
-            u, v = g.edges[eid]
-            sys.stdout.write(f"{u},{v},{res.witness[eid]}\n")
+        sys.stdout.writelines(weight_rows(g, res.witness))
     return 0
 
 
@@ -140,14 +137,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     logn = math.log(n)
     cap = (n / d) * (1.0 + 8.0 / logn ** args.b)
     lines.append(f"guarantee_cap={cap!r}")
-    budgets = compute_budgets(n, d, args.b, args.eps)
-    lines.append(f"budgets.base={budgets.base}")
-    lines.append(f"budgets.class_step={budgets.class_step}")
-    lines.append(f"budgets.fine_cap={budgets.fine_cap}")
-    lines.append(f"budgets.coarse_step={budgets.coarse_step}")
-    lines.append(f"budgets.target_base={budgets.target_base}")
-    lines.append(f"budgets.delta_span={budgets.delta_span}")
-    lines.append(f"budgets.label_cap={budgets.label_cap()}")
+    lines.extend(compute_budgets(n, d, args.b, args.eps).lines())
     lo, hi = strict_degree_window(n, args.b, args.eps)
     lines.append(f"window.low={lo!r}")
     lines.append(f"window.high={hi!r}")
@@ -273,15 +263,12 @@ def main(argv: list[str] | None = None) -> int:
             return 3
     try:
         return args.func(args)
-    except (ParameterError, InputFormatError) as exc:
+    except (ParameterError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (StageFailure, RetryExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

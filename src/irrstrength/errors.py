@@ -45,13 +45,8 @@ class StageFailure(IrrStrengthError):
 
 
 class RetryExhausted(IrrStrengthError):
-    """A retrying driver hit its attempt budget without a success.
+    """A retrying driver hit its attempt budget without a success."""
 
-    ``last`` is the StageFailure from the final attempt, kept so the
-    caller can report what kept going wrong.
-    """
-
-    def __init__(self, message: str, attempts: int, last: StageFailure | None = None):
+    def __init__(self, message: str, attempts: int):
         super().__init__(message)
         self.attempts = attempts
-        self.last = last

@@ -127,14 +127,17 @@ class Graph:
 def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
     """Per-vertex sum of incident edge weights, exact in int64.
 
-    Sums that could leave the int64 range are refused rather than
-    wrapped, so every answer returned is the true integer sum.
+    Non-integer weights are refused rather than truncated, and sums
+    that could leave the int64 range rather than wrapped, so every
+    answer returned is the true integer sum.
     """
     weights = np.asarray(weights)
     if weights.shape != (g.num_edges,):
         raise InputFormatError(
             f"weight vector covers {weights.shape} entries, graph has {g.num_edges} edges"
         )
+    if not np.issubdtype(weights.dtype, np.integer):
+        raise InputFormatError(f"weights must be integers, got dtype {weights.dtype}")
     sigma = np.zeros(g.n, dtype=np.int64)
     if g.num_edges:
         w = weights.astype(np.int64, copy=False)

@@ -10,6 +10,7 @@ of a log expression goes through a guarded helper.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,7 @@ from mpmath import mp
 from .errors import InputFormatError, ParameterError, StageFailure
 from .graphs import Graph, weighted_degrees
 from .partition import PipelineParams, VertexPartition
-from .report import ConditionCheck, ConditionReport
-from .seeds import derive_seed
+from .report import ConditionReport, las_vegas, worst_instance
 
 # stage tags in pipeline order
 STAGE_INITIAL = "initial"
@@ -66,6 +66,12 @@ class Budgets:
     def label_cap(self) -> int:
         """Largest final edge label the construction may produce."""
         return self.base + 7 * self.class_step + self.fine_cap + 1
+
+    def lines(self) -> list[str]:
+        """``budgets.<field>=<value>`` report lines, base through label_cap."""
+        names = ("base", "class_step", "fine_cap", "coarse_step", "target_base", "delta_span")
+        lines = [f"budgets.{name}={getattr(self, name)}" for name in names]
+        return lines + [f"budgets.label_cap={self.label_cap()}"]
 
 
 def _ceil_log_term(n: int, k: int, power: float) -> tuple[int, bool]:
@@ -147,9 +153,6 @@ class XAssignment:
     rank: np.ndarray
     r_size: np.ndarray
 
-    def l_size(self, v: int) -> int:
-        return int(self.rank[v])
-
 
 def sample_x(g: Graph, part: VertexPartition, seed: int) -> XAssignment:
     v0 = part.v0_vertices()
@@ -183,7 +186,6 @@ def check_x_conditions(
     logn = math.log(n)
     tau = 1.0 / logn ** (2 * p.b + 3 * p.eps)
     rel = 1.0 / logn ** (2 * p.b + 4 * p.eps)
-    low1 = 1.0 / logn ** (2 * p.b + 3 * p.eps)
     low2 = 1.0 / logn ** (4 * p.b + 7 * p.eps)
 
     v0 = part.v0_vertices()
@@ -194,69 +196,28 @@ def check_x_conditions(
     d0 = part.d0[v0].astype(np.float64)
     above = x >= tau
 
-    report = ConditionReport(slack=p.slack)
-
-    def add(cond: str, label: str, mask: np.ndarray, dev: np.ndarray, bound: np.ndarray) -> None:
-        if not np.any(mask):
-            report.checks.append(
-                ConditionCheck(cond=cond, label=label, passed=True, measured=0.0, bound=0.0)
-            )
-            return
-        dv = dev[mask]
-        bd = bound[mask] * p.slack
-        margin = dv - bd
-        worst = int(np.argmax(margin))
-        viol = int(np.count_nonzero(margin > 0))
-        vid = int(v0[np.nonzero(mask)[0][worst]])
-        witness = ""
-        if viol:
-            witness = f"v={vid} x={xa.x[vid]!r} deviation {dv[worst]!r} > {bd[worst]!r}"
-        report.checks.append(
-            ConditionCheck(
-                cond=cond,
-                label=label,
-                passed=viol == 0,
-                measured=float(dv[worst]),
-                bound=float(bd[worst]),
-                witness=witness,
-                violations=viol,
-            )
-        )
-
-    add("(3°)", "order position vs x", above, np.abs(l_sz - x * (n0 - 1)), x * (n0 - 1) * rel)
-    add(
-        "(4°)",
-        "order position, small x",
-        ~above,
-        l_sz,
-        np.full(n0, (n0 - 1) * (low1 + low2)),
-    )
-    add("(5°)", "heavy count vs x", above, np.abs(r_sz - x * d0), x * d0 * rel)
-    add("(6°)", "heavy count, small x", ~above, r_sz, d0 * (low1 + low2))
-    return report
+    checks = []
+    for cond, label, mask, dev, bound in (
+        ("(3°)", "order position vs x", above, np.abs(l_sz - x * (n0 - 1)), x * (n0 - 1) * rel),
+        ("(4°)", "order position, small x", ~above, l_sz, np.full(n0, (n0 - 1) * (tau + low2))),
+        ("(5°)", "heavy count vs x", above, np.abs(r_sz - x * d0), x * d0 * rel),
+        ("(6°)", "heavy count, small x", ~above, r_sz, d0 * (tau + low2)),
+    ):
+        ids, dv, bd = v0[mask], dev[mask], bound[mask] * p.slack
+        checks.append(worst_instance(
+            cond, label, dv, bd, lambda i: f"v={ids[i]} x={xa.x[ids[i]]!r} deviation {dv[i]!r} > {bd[i]!r}"
+        ))
+    return ConditionReport(checks=checks, slack=p.slack)
 
 
 def find_x(
     g: Graph, part: VertexPartition, p: PipelineParams, seed: int
 ) -> tuple[XAssignment, ConditionReport, int]:
     """Las Vegas loop over x samples until conditions (3)-(6) pass."""
-    last: ConditionReport | None = None
-    for attempt in range(p.max_retries + 1):
-        xa = sample_x(g, part, derive_seed(seed, "x", attempt))
-        rep = check_x_conditions(g, part, xa, p)
-        if rep.passed:
-            return xa, rep, attempt + 1
-        last = rep
-    worst = last.worst() if last is not None else None
-    detail = worst.line() if worst is not None else "no report"
-    raise StageFailure(
-        stage="x",
-        kind="x_conditions",
-        message=(
-            f"no x assignment met conditions (3°)-(6°) in {p.max_retries + 1} attempts; "
-            f"tightest: {detail}"
-        ),
-        witness=last,
+    return las_vegas(
+        "x", "x assignment met conditions (3°)-(6°)",
+        lambda draw: sample_x(g, part, draw), lambda xa: check_x_conditions(g, part, xa, p),
+        seed, p.max_retries,
     )
 
 
@@ -287,10 +248,6 @@ class WeightingState:
     def require_stage(self, expected: str) -> None:
         if self.stage != expected:
             raise ParameterError(f"operation requires stage {expected!r}, state is at {self.stage!r}")
-
-
-# the weighted-degree oracle under its older name, for callers that import it
-recompute_sigma = weighted_degrees
 
 
 def initial_weighting(
@@ -435,16 +392,11 @@ def assign_omega_prime(
 # CSV weight serialization
 
 
-def write_weight_rows(g: Graph, weights: np.ndarray, path: str, header: str) -> None:
-    """Shared CSV body: one comment header line, then u,v,weight rows."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("u,v,weight\n")
-        rows = [
-            f"{g.edges[eid, 0]},{g.edges[eid, 1]},{weights[eid]}\n"
-            for eid in range(g.num_edges)
-        ]
-        fh.writelines(rows)
+def weight_rows(g: Graph, weights: np.ndarray) -> Iterator[str]:
+    """The ``u,v,weight`` header, then one row per edge in edge-id order."""
+    yield "u,v,weight\n"
+    for (u, v), w in zip(g.edges.tolist(), weights.tolist()):
+        yield f"{u},{v},{w}\n"
 
 
 def write_weights_csv(
@@ -457,8 +409,9 @@ def write_weights_csv(
     eps: float,
     seed: int,
 ) -> None:
-    header = f"stage={state.stage} n={n} d={d} b={b!r} eps={eps!r} seed={seed}"
-    write_weight_rows(g, state.weights, path, header)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# stage={state.stage} n={n} d={d} b={b!r} eps={eps!r} seed={seed}\n")
+        fh.writelines(weight_rows(g, state.weights))
 
 
 def read_weights_csv(path: str, g: Graph) -> np.ndarray:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StageFailure
+from .errors import ParameterError
 from .graphs import Graph
-from .report import ConditionCheck, ConditionReport
-from .seeds import derive_seed
+from .report import ConditionReport, las_vegas, worst_instance
 
 MODE_STRICT = "strict"
 MODE_EMPIRICAL = "empirical"
@@ -132,52 +131,24 @@ def check_partition(g: Graph, part: VertexPartition, p: PipelineParams) -> Condi
     center_deg = d / (7.0 * logn ** (p.b + p.eps))
     half_deg = p.slack * d / (7.0 * logn ** (2 * p.b + 4 * p.eps))
 
-    report = ConditionReport(slack=p.slack)
-
     sizes = part.class_sizes()
     dev_sizes = np.abs(sizes - center_sizes)
-    worst_i = int(np.argmax(dev_sizes))
-    n_viol = int(np.count_nonzero(dev_sizes > half_sizes))
-    witness = ""
-    if n_viol:
-        witness = (
-            f"i={worst_i + 1} |{sizes[worst_i]} - {center_sizes!r}| = "
-            f"{dev_sizes[worst_i]!r} > {half_sizes!r}"
-        )
-    report.checks.append(
-        ConditionCheck(
-            cond="(1°)",
-            label="class size window",
-            passed=n_viol == 0,
-            measured=float(dev_sizes[worst_i]),
-            bound=float(half_sizes),
-            witness=witness,
-            violations=n_viol,
-        )
-    )
-
     dev_deg = np.abs(part.dui - center_deg)
-    flat = int(np.argmax(dev_deg))
-    worst_v, worst_c = divmod(flat, 7)
-    n_viol = int(np.count_nonzero(dev_deg > half_deg))
-    witness = ""
-    if n_viol:
-        witness = (
-            f"v={worst_v} i={worst_c + 1} |{part.dui[worst_v, worst_c]} - "
-            f"{center_deg!r}| = {dev_deg[worst_v, worst_c]!r} > {half_deg!r}"
-        )
-    report.checks.append(
-        ConditionCheck(
-            cond="(2°)",
-            label="per-class degree window",
-            passed=n_viol == 0,
-            measured=float(dev_deg[worst_v, worst_c]),
-            bound=float(half_deg),
-            witness=witness,
-            violations=n_viol,
-        )
+
+    def size_witness(i: int) -> str:
+        return f"i={i + 1} |{sizes[i]} - {center_sizes!r}| = {dev_sizes[i]!r} > {half_sizes!r}"
+
+    def degree_witness(flat: int) -> str:
+        v, c = divmod(flat, 7)
+        return f"v={v} i={c + 1} |{part.dui[v, c]} - {center_deg!r}| = {dev_deg[v, c]!r} > {half_deg!r}"
+
+    return ConditionReport(
+        checks=[
+            worst_instance("(1°)", "class size window", dev_sizes, half_sizes, size_witness),
+            worst_instance("(2°)", "per-class degree window", dev_deg, half_deg, degree_witness),
+        ],
+        slack=p.slack,
     )
-    return report
 
 
 def find_partition(
@@ -185,21 +156,8 @@ def find_partition(
 ) -> tuple[VertexPartition, ConditionReport, int]:
     """Resample until check_partition passes; returns (partition, report,
     attempts used). Raises StageFailure when retries are exhausted."""
-    last: ConditionReport | None = None
-    for attempt in range(p.max_retries + 1):
-        part = sample_partition(g, p, derive_seed(seed, "partition", attempt))
-        rep = check_partition(g, part, p)
-        if rep.passed:
-            return part, rep, attempt + 1
-        last = rep
-    worst = last.worst() if last is not None else None
-    detail = worst.line() if worst is not None else "no report"
-    raise StageFailure(
-        stage="partition",
-        kind="partition_conditions",
-        message=(
-            f"no partition met conditions (1°)-(2°) in {p.max_retries + 1} attempts; "
-            f"tightest: {detail}"
-        ),
-        witness=last,
+    return las_vegas(
+        "partition", "partition met conditions (1°)-(2°)",
+        lambda draw: sample_partition(g, p, draw), lambda part: check_partition(g, part, p),
+        seed, p.max_retries,
     )

@@ -107,13 +107,7 @@ class PipelineResult:
             lines.append(f"window.contains_d={str(self.window_contains_d).lower()}")
         if self.budgets is not None:
             bg = self.budgets
-            lines.append(f"budgets.base={bg.base}")
-            lines.append(f"budgets.class_step={bg.class_step}")
-            lines.append(f"budgets.fine_cap={bg.fine_cap}")
-            lines.append(f"budgets.coarse_step={bg.coarse_step}")
-            lines.append(f"budgets.target_base={bg.target_base}")
-            lines.append(f"budgets.delta_span={bg.delta_span}")
-            lines.append(f"budgets.label_cap={bg.label_cap()}")
+            lines.extend(bg.lines())
             lines.append(f"budgets.near_integer={','.join(bg.near_integer_fields)}")
         if self.partition_report is not None:
             lines.append(f"partition.attempts={self.partition_attempts}")
@@ -216,9 +210,7 @@ def run_pipeline(
             sep = separation_checks(g, part, state, budgets)
         result.separation = sep
         if not sep.passed:
-            worst = sep.worst()
-            detail = worst.line() if worst is not None else "unknown"
-            return fail("separation", "separation", f"ordering violated: {detail}")
+            return fail("separation", "separation", f"ordering violated: {sep.worst().line()}")
 
         with _timed(clock, "verify"):
             ver = finalize_and_check(g, state, budgets)

@@ -40,23 +40,18 @@ class VerificationResult:
 
 
 def _smallest_collision(sigma: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically smallest (u, v), u < v, with sigma[u] == sigma[v]."""
-    n = sigma.size
+    """Lexicographically smallest (u, v), u < v, with sigma[u] == sigma[v].
+
+    A stable sort lists each tied group in ascending vertex order, so a
+    group's first two entries are its smallest pair, and the answer is
+    the tie with the smallest first vertex.
+    """
     order = np.argsort(sigma, kind="stable")
-    svals = sigma[order]
-    best: tuple[int, int] | None = None
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and svals[j] == svals[i]:
-            j += 1
-        if j - i >= 2:
-            ids = np.sort(order[i:j])
-            cand = (int(ids[0]), int(ids[1]))
-            if best is None or cand < best:
-                best = cand
-        i = j
-    return best
+    tied = np.flatnonzero(sigma[order[1:]] == sigma[order[:-1]])
+    if tied.size == 0:
+        return None
+    i = int(tied[np.argmin(order[tied])])
+    return int(order[i]), int(order[i + 1])
 
 
 def is_irregular(g: Graph, weights: np.ndarray, cap: int | None = None) -> VerificationResult:

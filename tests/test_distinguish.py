@@ -11,9 +11,9 @@ from irrstrength import (
     StageFailure,
     WeightingState,
     pair_of,
-    recompute_sigma,
     run_distinguishing,
     separation_checks,
+    weighted_degrees,
 )
 from tests.test_labeling import make_partition
 
@@ -34,7 +34,7 @@ def tuned_state(g: Graph, part, weight_map: dict[tuple[int, int], int]) -> Weigh
         eid = g.edge_between(u, v)
         assert eid is not None
         w[eid] = wt
-    sigma = recompute_sigma(g, w)
+    sigma = weighted_degrees(g, w)
     return WeightingState(
         stage="tuned",
         weights=w,
@@ -121,7 +121,7 @@ class TestRunDistinguishingTriangle:
     def test_sigma_cache_consistent(self):
         g, part, state = self.build()
         run_distinguishing(g, part, budgets_with_m(2), state, empirical())
-        assert np.array_equal(state.sigma, recompute_sigma(g, state.weights))
+        assert np.array_equal(state.sigma, weighted_degrees(g, state.weights))
 
     def test_requires_tuned_stage(self):
         g, part, state = self.build()

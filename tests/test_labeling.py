@@ -23,9 +23,9 @@ from irrstrength import (
     generate_random_regular,
     initial_weighting,
     read_weights_csv,
-    recompute_sigma,
     sample_partition,
     sample_x,
+    weighted_degrees,
     write_weights_csv,
 )
 from irrstrength.labeling import _ceil_log_term
@@ -144,7 +144,6 @@ class TestSampleX:
         assert np.all(np.diff(xs) >= 0)
         for j, v in enumerate(xa.order):
             assert xa.rank[v] == j
-            assert xa.l_size(int(v)) == j
         assert np.all(xa.rank[part.u_vertices()] == -1)
 
     def test_r_size_matches_brute_force(self, setup):
@@ -213,7 +212,13 @@ class TestFindX:
             find_x(g, part, empirical(slack=1.0, retries=2), seed=6)
         assert exc.value.stage == "x"
         assert exc.value.kind == "x_conditions"
-        assert "tightest:" in exc.value.message
+        # the witness prints numpy scalars, whose repr differs between numpy 1 and 2
+        x, dev, bound = map(np.float64, (0.5009975265671548, 4.4910222608956065, 0.12779234150630897))
+        assert exc.value.message == (
+            "no x assignment met conditions (3°)-(6°) in 3 attempts; tightest: "
+            "(5°) heavy count vs x: FAIL measured=4.4910222608956065 "
+            f"bound=0.12779234150630897 witness[v=52 x={x!r} deviation {dev!r} > {bound!r}]"
+        )
 
 
 def tiny_instance():
@@ -253,7 +258,7 @@ class TestInitialWeighting:
     def test_sigma_cache_matches_recompute(self):
         g, part, xa, budgets = tiny_instance()
         state = initial_weighting(g, part, xa, budgets)
-        assert np.array_equal(state.sigma, recompute_sigma(g, state.weights))
+        assert np.array_equal(state.sigma, weighted_degrees(g, state.weights))
 
 
 class TestInitialWeightingProperty:
@@ -283,7 +288,7 @@ class TestInitialWeightingProperty:
         want[cross] = base + np.maximum(ku, kv)[cross] * class_step
         assert state.weights.dtype == np.int64
         assert np.array_equal(state.weights, want)
-        assert np.array_equal(state.sigma, recompute_sigma(g, want))
+        assert np.array_equal(state.sigma, weighted_degrees(g, want))
 
 
 class TestAssignOmegaPrime:

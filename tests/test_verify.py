@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irrstrength import (
     Budgets,
@@ -15,6 +17,7 @@ from irrstrength import (
     regular_lower_bound,
     weighted_degrees,
 )
+from irrstrength.verify import _smallest_collision
 from tests.test_distinguish import tuned_state
 from tests.test_labeling import make_partition
 
@@ -74,6 +77,13 @@ class TestWeightedDegrees:
         with pytest.raises(InputFormatError):
             weighted_degrees(g, np.array([2**62, 2**62], dtype=np.int64))
 
+    def test_fractional_labels_refused(self):
+        # truncating to int64 verified degrees [1,1,2,2] with min_label=1,
+        # a different weighting from the one passed
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(InputFormatError):
+            is_irregular(g, np.array([1.9, 2.2]))
+
 
 class TestIsIrregular:
     def test_pass_case(self):
@@ -92,6 +102,17 @@ class TestIsIrregular:
         res = is_irregular(g, w)
         assert not res.irregular
         assert res.witness == (0, 1)
+
+    @given(st.lists(st.integers(-3, 3), max_size=30))
+    def test_smallest_collision_matches_brute_force(self, values):
+        sigma = np.array(values, dtype=np.int64)
+        pairs = [
+            (u, v)
+            for u in range(sigma.size)
+            for v in range(u + 1, sigma.size)
+            if sigma[u] == sigma[v]
+        ]
+        assert _smallest_collision(sigma) == (min(pairs) if pairs else None)
 
     def test_crafted_multi_collision(self):
         g = Graph(5, [])
