@@ -97,7 +97,10 @@ def _cmd_weight(args: argparse.Namespace) -> int:
         if args.n is None or args.d is None:
             raise ParameterError("provide --graph or both --n and --d")
         g = generate_random_regular(args.n, args.d, derive_seed(args.seed, "graph"))
-    result = run_pipeline(g, params, args.seed, emit_timings=args.timings)
+    result = run_pipeline(g, params, args.seed)
+    if args.timings:
+        for stage, seconds in result.timings:
+            print(f"timing stage={stage} seconds={seconds:.3f}", file=sys.stderr)
     text = result.to_text()
     sys.stdout.write(text)
     if args.out_report:

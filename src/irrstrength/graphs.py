@@ -10,6 +10,7 @@ canonical ordering is part of the contract, not an implementation detail.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,63 +35,44 @@ class Graph:
         if raw.size == 0:
             raw = np.empty((0, 2), dtype=np.int32)
         elif not np.issubdtype(raw.dtype, np.integer):
-            raw = np.asarray(raw, dtype=np.int64)
+            raise ParameterError(f"edge endpoints must be integers, got dtype {raw.dtype}")
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise ParameterError("edges must be a sequence of (u, v) pairs")
         if raw.size and (raw.min() < 0 or raw.max() >= n):
             raise ParameterError("edge endpoint outside 0..n-1")
         # large instances are memory-bound by this constructor, so the
-        # working arrays stay int32 and every transient is dropped early;
-        # only the duplicate-detection keys need the int64 range
+        # working arrays stay int32 and every transient is dropped before
+        # the next one is made
         lo = np.minimum(raw[:, 0], raw[:, 1]).astype(np.int32, copy=False)
         hi = np.maximum(raw[:, 0], raw[:, 1]).astype(np.int32, copy=False)
         del raw
         if np.any(lo == hi):
             raise ParameterError("self-loops are not allowed")
-        order = np.lexsort((hi, lo))
+        # timsort is adaptive: input already in canonical order, as the
+        # generator, edge-list files and induced subgraphs give it, costs
+        # about one pass
+        order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
         lo, hi = lo[order], hi[order]
         del order
-        keys = lo.astype(np.int64) * n + hi
-        if keys.size > 1 and np.any(keys[1:] == keys[:-1]):
+        if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
             raise ParameterError("duplicate edges are not allowed")
+        self.num_edges = int(lo.size)
 
-        self.edges: np.ndarray = np.stack([lo, hi], axis=1)
-        self.num_edges = int(len(self.edges))
-        self._keys = keys
-
-        eids = np.arange(self.num_edges, dtype=np.int32)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        eid2 = np.concatenate([eids, eids])
-        del lo, hi, eids
-        counts = np.bincount(src, minlength=n) if self.num_edges else np.zeros(n, dtype=np.int64)
-        csr_order = np.lexsort((dst, src))
+        # entry j of [hi, lo] is edge j mod num_edges seen from one end; a
+        # stable sort by that end lists each row's smaller neighbours and
+        # then its larger ones, both ascending by canonical order
+        src = np.concatenate([hi, lo])
+        counts = np.bincount(src, minlength=n)
+        csr_order = np.argsort(src, kind="stable")
         del src
-        self.indices: np.ndarray = dst[csr_order]
-        del dst
-        self.edge_ids: np.ndarray = eid2[csr_order]
-        del eid2, csr_order
+        self.indices: np.ndarray = np.concatenate([lo, hi])[csr_order]
+        csr_order[csr_order >= self.num_edges] -= self.num_edges
+        self.edge_ids: np.ndarray = csr_order.astype(np.int32)
+        del csr_order
+        self.edges: np.ndarray = np.stack([lo, hi], axis=1)
         self.indptr: np.ndarray = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self.degrees: np.ndarray = counts.astype(np.int32)
-
-    @classmethod
-    def _from_arrays(
-        cls, n: int, edges: np.ndarray, indices: np.ndarray, edge_ids: np.ndarray, degrees: np.ndarray
-    ) -> Graph:
-        """A graph from arrays already in canonical and CSR order, as
-        ``__init__`` would build them; nothing is checked or re-sorted."""
-        g = cls.__new__(cls)
-        g.n = int(n)
-        g.edges = edges
-        g.num_edges = int(len(edges))
-        g._keys = edges[:, 0].astype(np.int64) * n + edges[:, 1]
-        g.indices = indices
-        g.edge_ids = edge_ids
-        g.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=g.indptr[1:])
-        g.degrees = degrees
-        return g
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbors of v in ascending order (view, do not mutate)."""
@@ -101,15 +83,27 @@ class Graph:
         return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
     def edge_between(self, u: int, v: int) -> int | None:
-        """Edge id joining u and v, or None if they are not adjacent."""
-        if u == v:
+        """Edge id joining u and v, or None if they are not adjacent
+        (also when u == v or either id lies outside 0..n-1)."""
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
             return None
-        a, b = (u, v) if u < v else (v, u)
-        key = a * self.n + b
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < self.num_edges and self._keys[pos] == key:
-            return pos
+        start, stop = int(self.indptr[u]), int(self.indptr[u + 1])
+        pos = start + int(np.searchsorted(self.indices[start:stop], v))
+        if pos < stop and self.indices[pos] == v:
+            return int(self.edge_ids[pos])
         return None
+
+    def edges_between(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Edge ids joining us[i] and vs[i], -1 where there is no edge;
+        the int64 edge keys live only for the call."""
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        # edge keys are positive, so -1 marks a pair that is no edge, and
+        # the sentinel above them all gives every query a valid position
+        query = np.where((lo >= 0) & (hi < self.n) & (lo != hi), lo * self.n + hi, -1)
+        keys = np.append(self.edges[:, 0].astype(np.int64) * self.n + self.edges[:, 1], np.iinfo(np.int64).max)
+        pos = np.searchsorted(keys, query)
+        return np.where(keys[pos] == query, pos, -1)
 
     def regular_degree(self) -> int:
         """The common degree if the graph is regular, else raise."""
@@ -140,10 +134,11 @@ def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
         raise InputFormatError(f"weights must be integers, got dtype {weights.dtype}")
     sigma = np.zeros(g.n, dtype=np.int64)
     if g.num_edges:
-        w = weights.astype(np.int64, copy=False)
-        peak = max(-int(w.min()), int(w.max())) * int(g.degrees.max())
+        # bounded before the cast, which would wrap unsigned values above 2^63-1
+        peak = max(-int(weights.min()), int(weights.max())) * int(g.degrees.max())
         if peak > np.iinfo(np.int64).max:
             raise InputFormatError("weighted degrees may exceed the 64-bit integer range")
+        w = weights.astype(np.int64, copy=False)
         np.add.at(sigma, g.edges[:, 0], w)
         np.add.at(sigma, g.edges[:, 1], w)
     return sigma
@@ -164,7 +159,8 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
 
 def read_edge_list(path: str | Path) -> Graph:
     n_header: int | None = None
-    rows: list[tuple[int, int]] = []
+    ends = array("q")  # u0, v0, u1, v1, ...
+    huge = -1  # largest id beyond int64, which ``ends`` cannot hold
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -172,7 +168,7 @@ def read_edge_list(path: str | Path) -> Graph:
                 continue
             if text.startswith("#"):
                 match = _HEADER_RE.match(text)
-                if match is not None and n_header is None and not rows:
+                if match is not None and n_header is None and not ends and huge < 0:
                     n_header = int(match.group(1))
                 continue
             parts = text.split()
@@ -184,13 +180,20 @@ def read_edge_list(path: str | Path) -> Graph:
                 raise InputFormatError(f"line {lineno}: expected two integers, got {text!r}") from None
             if u < 0 or v < 0:
                 raise InputFormatError(f"line {lineno}: negative vertex id")
-            rows.append((u, v))
-    max_seen = max((max(u, v) for u, v in rows), default=-1)
+            try:
+                ends.append(u)
+                ends.append(v)
+            except OverflowError:
+                huge = max(huge, u, v)
+                del ends[len(ends) // 2 * 2 :]  # a half-appended row
+    edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    max_seen = max(huge, int(edges.max(initial=-1)))
     n = n_header if n_header is not None else max_seen + 1
     if max_seen >= n:
         raise InputFormatError(f"vertex id {max_seen} exceeds declared count {n}")
     try:
-        return Graph(n, rows)
+        # after an id beyond int64, n is beyond it too and Graph refuses n
+        return Graph(n, edges)
     except ParameterError as exc:
         raise InputFormatError(str(exc)) from None
 
@@ -362,9 +365,7 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
 
     Vertices are relabeled 0..k-1 in ascending parent order; that keeps
     the relabeling monotone, so canonical edge order is preserved and
-    ``edge_parent[i]`` is the parent edge id of sub edge i. For the same
-    reason the parent's CSR arrays, filtered to the kept edges, are
-    already the subgraph's.
+    ``edge_parent[i]`` is the parent edge id of sub edge i.
     """
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
     if verts.size and (verts[0] < 0 or verts[-1] >= graph.n):
@@ -378,17 +379,7 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
     emask = ends[:, 0] & ends[:, 1]
     del ends
     edge_parent = np.flatnonzero(emask).astype(np.int32)
-    # parent edge id -> sub edge id, valid on kept edges
-    eid_map = np.cumsum(emask, dtype=np.int32) - 1
-    entries = np.flatnonzero(emask[graph.edge_ids])
-    sub_edges = old_to_new[graph.edges[edge_parent]]
-    sub = Graph._from_arrays(
-        k,
-        sub_edges,
-        old_to_new[graph.indices[entries]],
-        eid_map[graph.edge_ids[entries]],
-        np.bincount(sub_edges.ravel(), minlength=k).astype(np.int32),
-    )
+    sub = Graph(k, old_to_new[graph.edges[edge_parent]])
     return sub, IndexMap(new_to_old=verts.astype(np.int32), old_to_new=old_to_new, edge_parent=edge_parent)
 
 

@@ -10,6 +10,7 @@ of a log expression goes through a guarded helper.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -242,9 +243,6 @@ class WeightingState:
     last_mod_stage: np.ndarray
     v0_sigma_at_tuned: np.ndarray | None = None
 
-    def stage_ord(self) -> int:
-        return _STAGE_ORDER.index(self.stage)
-
     def require_stage(self, expected: str) -> None:
         if self.stage != expected:
             raise ParameterError(f"operation requires stage {expected!r}, state is at {self.stage!r}")
@@ -415,32 +413,49 @@ def write_weights_csv(
 
 
 def read_weights_csv(path: str, g: Graph) -> np.ndarray:
-    """Load a weight vector aligned with g's edge ids."""
-    weights = np.zeros(g.num_edges, dtype=np.int64)
-    seen = np.zeros(g.num_edges, dtype=bool)
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#") or text == "u,v,weight":
-                continue
-            parts = text.split(",")
-            if len(parts) != 3:
-                raise InputFormatError(f"line {lineno}: expected u,v,weight, got {text!r}")
-            try:
-                u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: non-integer field in {text!r}") from None
-            if not _INT64_MIN <= wt <= _INT64_MAX:
-                raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
-            eid = g.edge_between(u, v)
-            if eid is None:
-                raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
-            if seen[eid]:
-                raise InputFormatError(f"line {lineno}: duplicate weight for edge ({u},{v})")
-            seen[eid] = True
-            weights[eid] = wt
-    if not np.all(seen):
-        missing = int(np.nonzero(~seen)[0][0])
-        u, v = g.edges[missing]
+    """Load a weight vector aligned with g's edge ids.
+
+    Lines are parsed until the first one that is faulty on its own; the
+    rows before it are then resolved to edge ids in one lookup, so a
+    missing or repeated edge on an earlier line is reported first."""
+    n = g.n
+    buf = array("q")  # u, v, weight, line number per row
+    fault = None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text or text.startswith("#") or text == "u,v,weight":
+                    continue
+                parts = text.split(",")
+                if len(parts) != 3:
+                    raise InputFormatError(f"line {lineno}: expected u,v,weight, got {text!r}")
+                try:
+                    u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise InputFormatError(f"line {lineno}: non-integer field in {text!r}") from None
+                if not _INT64_MIN <= wt <= _INT64_MAX:
+                    raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
+                buf.extend((u, v, wt, lineno))
+    except InputFormatError as exc:
+        fault = exc
+    rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, 4)
+    eids = g.edges_between(rows[:, 0], rows[:, 1])
+    first_use = np.zeros(eids.size, dtype=bool)
+    first_use[np.unique(eids, return_index=True)[1]] = True
+    bad = np.flatnonzero((eids < 0) | ~first_use)
+    if bad.size:
+        u, v, _, lineno = rows[bad[0]].tolist()
+        if eids[bad[0]] < 0:
+            raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
+        raise InputFormatError(f"line {lineno}: duplicate weight for edge ({u},{v})")
+    if fault is not None:
+        raise fault
+    if eids.size < g.num_edges:
+        u, v = g.edges[np.setdiff1d(np.arange(g.num_edges), eids)[0]]
         raise InputFormatError(f"no weight given for edge ({u},{v})")
+    weights = np.empty(g.num_edges, dtype=np.int64)
+    weights[eids] = rows[:, 2]
     return weights

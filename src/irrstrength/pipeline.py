@@ -1,11 +1,10 @@
 """End-to-end orchestration: partition, x sampling, the three weight
 stages, separation checks, and final verification, with a deterministic
-flat-text report. Stage timings go to stderr only, never into reports."""
+flat-text report. Stage timings stay on the result, never in reports."""
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -142,9 +141,7 @@ def _prefixed(prefix: str, block: str) -> list[str]:
     return [prefix + line for line in block.rstrip("\n").split("\n")]
 
 
-def run_pipeline(
-    g: Graph, params: PipelineParams, seed: int, emit_timings: bool = False
-) -> PipelineResult:
+def run_pipeline(g: Graph, params: PipelineParams, seed: int) -> PipelineResult:
     """Run every stage in order; never raises on stage failure.
 
     The returned result always exists: entry validation problems appear
@@ -160,8 +157,6 @@ def run_pipeline(
         result.failure_kind = kind
         result.failure_message = message
         result.timings = clock
-        if emit_timings:
-            _print_timings(clock)
         return result
 
     try:
@@ -235,8 +230,6 @@ def run_pipeline(
 
     result.success = True
     result.timings = clock
-    if emit_timings:
-        _print_timings(clock)
     return result
 
 
@@ -248,8 +241,3 @@ def _timed(clock: list[tuple[str, float]], stage: str) -> Iterator[None]:
         yield
     finally:
         clock.append((stage, time.perf_counter() - t0))
-
-
-def _print_timings(clock: list[tuple[str, float]]) -> None:
-    for stage, seconds in clock:
-        print(f"timing stage={stage} seconds={seconds:.3f}", file=sys.stderr)

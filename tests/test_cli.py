@@ -220,6 +220,26 @@ class TestVerify:
         assert done.stderr.startswith("error: line 2: weight 99999999999999999999 outside")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "graph_text, weights_text, message",
+        [
+            ("0 1\n1 2\n", "u,v,weight\n0,1,1\n0,9223372036854775808,2\n",
+             "line 3: edge (0,9223372036854775808) not in graph"),
+            ("0 1\n0 9223372036854775808\n", "u,v,weight\n0,1,1\n",
+             "vertex count 9223372036854775809 exceeds the 32-bit id range"),
+            ("# 3 2\n0 1\n0 9223372036854775808\n", "u,v,weight\n0,1,1\n",
+             "vertex id 9223372036854775808 exceeds declared count 3"),
+        ],
+        ids=["csv", "edge-list", "edge-list-header"],
+    )
+    def test_vertex_id_beyond_int64_exits_3(self, tmp_path, capsys, graph_text, weights_text, message):
+        graph, weights = tmp_path / "g.txt", tmp_path / "w.csv"
+        graph.write_text(graph_text, encoding="ascii")
+        weights.write_text(weights_text, encoding="ascii")
+        rc = main(["verify", "--graph", str(graph), "--weights", str(weights)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestExact:
     def test_path_strength_with_witness_block(self, tmp_path, capsys):

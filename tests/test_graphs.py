@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,17 @@ class TestGraphBasics:
         eid = g.edge_between(0, 4)
         assert eid is not None and set(g.edges[eid]) == {0, 4}
         assert g.edge_between(0, 2) is None
+
+    def test_edge_between_out_of_range_ids(self):
+        # -1 * 5 + 6 is the key of edge (0, 1), which ids outside 0..n-1
+        # used to alias
+        g = Graph(5, [(0, 1)])
+        assert g.edge_between(-1, 6) is None
+        assert g.edges_between(np.array([-1, 0]), np.array([6, 1])).tolist() == [-1, 0]
+
+    def test_rejects_fractional_endpoints(self):
+        with pytest.raises(ParameterError, match="integers"):
+            Graph(3, np.array([[0.9, 2.2]]))
 
     def test_regular_degree(self):
         assert k4().regular_degree() == 3
@@ -235,6 +248,39 @@ class TestComponentOrdering:
         assert [len(c.order) for c in comps] == [1, 2]
 
 
+def assert_matches_reference(g: Graph, n: int, edges: list[tuple[int, int]]) -> None:
+    """Compare every array of ``g`` with a graph on ``n`` vertices built
+    one edge at a time in pure Python; ``edges`` may be in any order and
+    orientation."""
+    canon = sorted((min(u, v), max(u, v)) for u, v in edges)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(canon):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    rows = [sorted(r) for r in adj]
+    assert g.n == n and g.num_edges == len(canon)
+    assert g.edges.tolist() == [list(e) for e in canon]
+    assert g.indices.tolist() == [u for r in rows for u, _ in r]
+    assert g.edge_ids.tolist() == [e for r in rows for _, e in r]
+    assert g.indptr.tolist() == list(accumulate((len(r) for r in rows), initial=0))
+    assert g.degrees.tolist() == [len(r) for r in rows]
+    dtypes = {"edges": np.int32, "indices": np.int32, "edge_ids": np.int32, "indptr": np.int64, "degrees": np.int32}
+    for name, dtype in dtypes.items():
+        assert getattr(g, name).dtype == dtype, name
+
+
+@st.composite
+def simple_graphs(draw, max_n: int = 14) -> tuple[int, list[tuple[int, int]]]:
+    """A random simple graph on up to ``max_n`` vertices, isolated ones
+    included, as edge rows in random order and orientation."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+
+
 @st.composite
 def graphs_with_subsets(draw) -> tuple[Graph, list[int]]:
     """A random simple graph on up to 14 vertices and a vertex list that
@@ -272,23 +318,64 @@ class TestProperties:
     @given(graphs_with_subsets())
     def test_induced_subgraph_equals_rebuild(self, case):
         g, verts = case
-        kept = np.unique(np.array(verts, dtype=np.int64))
-        old_to_new = np.full(g.n, -1, dtype=np.int32)
-        old_to_new[kept] = np.arange(kept.size, dtype=np.int32)
-        inside = np.isin(g.edges, kept).all(axis=1)
-        ref = Graph(int(kept.size), old_to_new[g.edges[inside]])
+        kept = sorted(set(verts))
+        new_id = {v: i for i, v in enumerate(kept)}
+        parent_eids = [e for e, (u, v) in enumerate(g.edges.tolist()) if u in new_id and v in new_id]
+        sub_edges = [(new_id[int(u)], new_id[int(v)]) for u, v in g.edges[parent_eids]]
 
         sub, imap = induced_subgraph(g, np.array(verts, dtype=np.int64))
-        assert sub.n == ref.n and sub.num_edges == ref.num_edges
-        for name in ("edges", "indices", "edge_ids", "indptr", "degrees"):
-            got, want = getattr(sub, name), getattr(ref, name)
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
-        assert np.array_equal(imap.new_to_old, kept)
-        assert np.array_equal(imap.old_to_new, old_to_new)
-        assert np.array_equal(imap.edge_parent, np.flatnonzero(inside))
-        for eid, (u, v) in enumerate(ref.edges.tolist()):
+        assert_matches_reference(sub, len(kept), sub_edges)
+        assert imap.new_to_old.tolist() == kept
+        assert imap.old_to_new.tolist() == [new_id.get(v, -1) for v in range(g.n)]
+        assert imap.edge_parent.tolist() == parent_eids
+        for eid, (u, v) in enumerate(sub_edges):
             assert sub.edge_between(u, v) == eid
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs(), st.data())
+    def test_graph_matches_reference(self, case, data):
+        n, rows = case
+        g = Graph(n, rows)
+        assert_matches_reference(g, n, rows)
+        assert np.all(g.edges[:, 0] < g.edges[:, 1])
+        keys = g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1]
+        assert np.all(keys[1:] > keys[:-1])
+        for v in range(n):
+            for u, e in zip(g.neighbors(v).tolist(), g.incident_edges(v).tolist()):
+                assert sorted(g.edges[e].tolist()) == sorted([u, v])
+
+        eid_of = {}
+        for eid, (u, v) in enumerate(g.edges.tolist()):
+            eid_of[u, v] = eid_of[v, u] = eid
+        pairs = [(a, b) for a in range(-1, n + 1) for b in range(-1, n + 1)]
+        want = [eid_of.get(p, -1) for p in pairs]
+        assert [g.edge_between(a, b) for a, b in pairs] == [None if w < 0 else w for w in want]
+        us, vs = np.array(pairs).T
+        assert g.edges_between(us, vs).tolist() == want
+
+        if n:
+            v = data.draw(st.integers(0, n - 1))
+            with pytest.raises(ParameterError, match="self-loops"):
+                Graph(n, rows + [(v, v)])
+        if rows:
+            u, v = data.draw(st.sampled_from(rows))
+            with pytest.raises(ParameterError, match="duplicate"):
+                Graph(n, rows + [data.draw(st.sampled_from([(u, v), (v, u)]))])
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs())
+    def test_edge_list_round_trip(self, tmp_path_factory, case):
+        n, rows = case
+        g = Graph(n, rows)
+        path = tmp_path_factory.mktemp("el") / "g.txt"
+        write_edge_list(g, path)
+        assert_matches_reference(read_edge_list(path), n, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(max_n=70))
+    def test_graph6_round_trip(self, case):
+        n, rows = case
+        assert_matches_reference(read_graph6(write_graph6(Graph(n, rows))), n, rows)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_with_subsets())

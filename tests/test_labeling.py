@@ -385,3 +385,30 @@ class TestWeightsCsv:
             path.write_text("# h\nu,v,weight\n" + body)
             with pytest.raises(InputFormatError, match=match):
                 read_weights_csv(str(path), g)
+
+    def test_shuffled_swapped_rows_read_back(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for seed in range(3):
+            g = generate_random_regular(30, 4, seed=seed)
+            weights = rng.integers(-(2**62), 2**62, size=g.num_edges)
+            rows = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for (u, v), w in zip(g.edges.tolist(), weights.tolist())]
+            lines = ["# shuffled", "u,v,weight"] + [f"{u},{v},{w}" for u, v, w in (rows[i] for i in rng.permutation(len(rows)))]
+            path = tmp_path / f"w{seed}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            assert np.array_equal(read_weights_csv(str(path), g), weights)
+
+    def test_earlier_fault_wins(self, tmp_path):
+        # a non-edge on line 3 comes before the unparsable line 4
+        g = Graph(3, [(0, 1), (1, 2)])
+        path = tmp_path / "w.csv"
+        path.write_text("u,v,weight\n0,1,5\n0,2,5\n1,2,x\n")
+        with pytest.raises(InputFormatError, match=r"^line 3: edge \(0,2\) not in graph$"):
+            read_weights_csv(str(path), g)
+
+    def test_out_of_range_ids_are_not_edges(self, tmp_path):
+        # -1 * 5 + 6 is the key of edge (0, 1), which such ids used to alias
+        g = Graph(5, [(0, 1)])
+        path = tmp_path / "w.csv"
+        path.write_text("u,v,weight\n-1,6,7\n")
+        with pytest.raises(InputFormatError, match=r"^line 2: edge \(-1,6\) not in graph$"):
+            read_weights_csv(str(path), g)

@@ -57,6 +57,12 @@ class TestWeightedDegrees:
         assert sig.tolist() == [2**53, 2**53, 2**53 + 1, 2**53 + 1]
         assert is_irregular(g, np.array([2**53, 2**53 + 1], dtype=np.int64)).witness == (0, 1)
 
+    def test_unsigned_weights_beyond_int64_refused(self):
+        # cast to int64 first, 2^64-1 had wrapped to -1
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(InputFormatError, match="64-bit"):
+            weighted_degrees(g, np.array([2**64 - 1, 5], dtype=np.uint64))
+
     def test_true_collision_beyond_float_precision(self):
         # on C10 the exact degrees of vertices 0 and 8 tie; float64 sums
         # had rounded them apart and called the weighting irregular
