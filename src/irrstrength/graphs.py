@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import InputFormatError, ParameterError, RetryExhausted
 from .seeds import derive_seed
 
 _HEADER_RE = re.compile(r"#\s*(\d+)\s+(\d+)\s*$")
+_ROW_BLOCK = 4096  # rows per string written by format_rows
 
 
 class Graph:
@@ -153,8 +156,16 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     count so graphs with isolated vertices survive a round trip."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# {graph.n} {graph.num_edges}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        fh.writelines(format_rows("{} {}\n", graph.edges[:, 0], graph.edges[:, 1]))
+
+
+def format_rows(row: str, *columns: np.ndarray) -> Iterator[str]:
+    """``row.format(*values)`` for each row of the columns, in order, as
+    one string per block of rows, so that only one block is ever held
+    as Python objects."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        rows = list(zip(*(c[start : start + _ROW_BLOCK].tolist() for c in columns)))
+        yield (row * len(rows)).format(*chain.from_iterable(rows))
 
 
 def read_edge_list(path: str | Path) -> Graph:
@@ -226,41 +237,42 @@ def read_graph6(line: str) -> Graph:
         text = text[len(">>graph6<<") :]
     if not text:
         raise InputFormatError("empty graph6 line")
-    data = text.encode("ascii", errors="replace")
-    if any(b < 63 or b > 126 for b in data):
+    data = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
+    if data.min() < 63 or data.max() > 126:
         raise InputFormatError("graph6 byte outside printable range 63..126")
-    vals = [b - 63 for b in data]
-    if vals[0] < 63:
-        n, body = vals[0], vals[1:]
-    elif len(vals) >= 4 and vals[1] < 63:
-        n, body = (vals[1] << 12) | (vals[2] << 6) | vals[3], vals[4:]
-    elif len(vals) >= 8:
+    vals = data - 63
+    head = vals[:8].tolist()
+    if head[0] < 63:
+        n, body = head[0], vals[1:]
+    elif len(head) >= 4 and head[1] < 63:
+        n, body = (head[1] << 12) | (head[2] << 6) | head[3], vals[4:]
+    elif len(head) >= 8:
         n = 0
-        for v in vals[2:8]:
+        for v in head[2:8]:
             n = (n << 6) | v
         body = vals[8:]
     else:
         raise InputFormatError("truncated graph6 size field")
     k = n * (n - 1) // 2
     expect = -(-k // 6)
-    if len(body) != expect:
-        raise InputFormatError(f"graph6 body has {len(body)} groups, expected {expect}")
-    if body:
-        arr = np.array(body, dtype=np.uint8)
-        if arr.max() > 63:
-            raise InputFormatError("graph6 group out of range")
-        bits = np.unpackbits(arr[:, None], axis=1)[:, 2:].ravel()
-        if np.any(bits[k:]):
-            raise InputFormatError("nonzero padding bits in graph6 body")
-        pos = np.nonzero(bits[:k])[0].astype(np.int64)
-        # invert pos = v(v-1)/2 + u by searching the triangular numbers
-        tri = np.arange(n + 1, dtype=np.int64)
-        tri = tri * (tri - 1) // 2
-        v = np.searchsorted(tri, pos, side="right") - 1
-        u = pos - tri[v]
-        edges = np.stack([u, v], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    if body.size != expect:
+        raise InputFormatError(f"graph6 body has {body.size} groups, expected {expect}")
+    # six bits per group, high to low
+    bits = np.unpackbits((body << 2)[:, None], axis=1, count=6).ravel()
+    if np.any(bits[k:]):
+        raise InputFormatError("nonzero padding bits in graph6 body")
+    # column-major upper triangle: bit v(v-1)/2 + u is the edge (u, v), u < v,
+    # so the set positions run through column v in [tri[v], tri[v+1])
+    pos = np.flatnonzero(bits[:k])
+    del bits
+    tri = np.arange(n + 1, dtype=np.int64)
+    tri = tri * (tri - 1) // 2
+    counts = np.diff(np.searchsorted(pos, tri))
+    edges = np.empty((pos.size, 2), dtype=np.int32)
+    edges[:, 1] = np.repeat(np.arange(n, dtype=np.int32), counts)
+    pos -= np.repeat(tri[:-1], counts)
+    edges[:, 0] = pos
+    del pos
     try:
         return Graph(n, edges)
     except ParameterError as exc:
@@ -278,6 +290,9 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
     that form new simple edges, and recycles the rest; an attempt dies
     when the leftover stubs provably admit no further edge (or a round
     cap is hit), and a fresh attempt restarts from its own derived seed.
+    An attempt marks accepted edges in an n*n-bit table (3.1 MB at
+    n=5000, 50 MB at n=20000), so for sparse graphs on very many vertices
+    that table, not the n*d stubs, sets the memory needed.
     """
     if n <= 0:
         raise ParameterError(f"need at least one vertex, got n={n}")
@@ -300,37 +315,72 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator, max_rounds: int = 200) -> np.ndarray | None:
     stubs = np.repeat(np.arange(n, dtype=np.int32), d)
-    accepted = np.empty(0, dtype=np.int64)
+    # bit k of ``seen`` marks the accepted edge with key k = lo*n + hi,
+    # which stays below n^2 < 2^62; the keys themselves are kept per round
+    # and sorted once at the end, since only their set decides the graph
+    seen = np.zeros(-(-n * n // 8), dtype=np.uint8)
+    taken = [np.empty(0, dtype=np.int64)]
     for _ in range(max_rounds):
         if stubs.size == 0:
-            del stubs
+            del stubs, seen
+            accepted = np.concatenate(taken)
+            del taken
+            accepted.sort()
             out = np.empty((accepted.size, 2), dtype=np.int32)
             np.floor_divide(accepted, n, out=out[:, 0], casting="unsafe")
             np.remainder(accepted, n, out=out[:, 1], casting="unsafe")
             return out
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        ok_rows = np.nonzero(lo != hi)[0]
-        keys = lo[ok_rows].astype(np.int64) * n + hi[ok_rows]
-        uniq, first = np.unique(keys, return_index=True)
-        pos = np.searchsorted(accepted, uniq)
-        pos = np.minimum(pos, max(accepted.size - 1, 0))
-        fresh = accepted.size == 0
-        new_mask = np.ones(uniq.size, dtype=bool) if fresh else accepted[pos] != uniq
-        take_rows = ok_rows[first[new_mask]]
-        if take_rows.size:
-            accepted = np.sort(np.concatenate([accepted, uniq[new_mask]]))
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[take_rows] = False
-            stubs = pairs[keep].ravel()
-        elif not _stubs_suitable(stubs, accepted, n):
-            return None
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        keys = lo.astype(np.int64)
+        keys *= n
+        keys += hi
+        # a row pairs when it is no loop, no edge accepted before, and the
+        # first row of its key; which rows stay decides the next shuffle,
+        # so it must be the first one
+        take = lo != hi
+        del lo, hi
+        take &= ~_has_bits(seen, keys)
+        uniq = keys[take]
+        if uniq.size == 0:
+            if not _stubs_suitable(stubs, seen, n):
+                return None
+            continue
+        uniq.sort()
+        repeated = uniq[1:] == uniq[:-1]
+        if repeated.any():
+            # each repeated key is accepted this round by its first row, so
+            # marking it in ``seen`` now picks out the rows that carry it
+            _set_bits(seen, uniq[1:][repeated])
+            rep = np.flatnonzero(take & _has_bits(seen, keys))
+            first = np.unique(keys[rep], return_index=True)[1]
+            take[rep] = False
+            take[rep[first]] = True
+            del rep, first
+            uniq = uniq[np.concatenate([[True], ~repeated])]
+        del keys, repeated
+        _set_bits(seen, uniq)
+        taken.append(uniq)
+        del uniq
+        stubs = pairs[~take].ravel()
+        del pairs, take
     return None
 
 
-def _stubs_suitable(stubs: np.ndarray, accepted: np.ndarray, n: int) -> bool:
+_BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
+
+
+def _has_bits(bitset: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    return (bitset[keys >> 3] & _BIT[keys & 7]) != 0
+
+
+def _set_bits(bitset: np.ndarray, keys: np.ndarray) -> None:
+    np.bitwise_or.at(bitset, keys >> 3, _BIT[keys & 7])
+
+
+def _stubs_suitable(stubs: np.ndarray, seen: np.ndarray, n: int) -> bool:
     """True if some pair of leftover stubs can still form a new edge."""
     distinct = np.unique(stubs)
     k = distinct.size
@@ -341,10 +391,7 @@ def _stubs_suitable(stubs: np.ndarray, accepted: np.ndarray, n: int) -> bool:
         return True
     a, b = np.triu_indices(k, 1)
     keys = distinct[a].astype(np.int64) * n + distinct[b]
-    pos = np.searchsorted(accepted, keys)
-    pos = np.minimum(pos, max(accepted.size - 1, 0))
-    present = accepted[pos] == keys if accepted.size else np.zeros(keys.size, dtype=bool)
-    return bool(np.any(~present))
+    return not _has_bits(seen, keys).all()
 
 
 # ---------------------------------------------------------------------------

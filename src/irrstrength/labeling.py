@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, weighted_degrees
+from .graphs import Graph, format_rows, weighted_degrees
 from .partition import PipelineParams, VertexPartition
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -393,8 +393,7 @@ def assign_omega_prime(
 def weight_rows(g: Graph, weights: np.ndarray) -> Iterator[str]:
     """The ``u,v,weight`` header, then one row per edge in edge-id order."""
     yield "u,v,weight\n"
-    for (u, v), w in zip(g.edges.tolist(), weights.tolist()):
-        yield f"{u},{v},{w}\n"
+    yield from format_rows("{},{},{}\n", g.edges[:, 0], g.edges[:, 1], weights)
 
 
 def write_weights_csv(

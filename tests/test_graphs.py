@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import accumulate
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +23,10 @@ from irrstrength import (
     write_edge_list,
     write_graph6,
 )
+from irrstrength import graphs
+from irrstrength.labeling import write_weights_csv
+from irrstrength.seeds import derive_seed
+from tests import pairing_reference
 
 
 def cycle(n: int) -> Graph:
@@ -28,6 +35,31 @@ def cycle(n: int) -> Graph:
 
 def k4() -> Graph:
     return Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+
+
+@st.composite
+def pairing_cases(draw) -> tuple[int, int]:
+    """(n, d) with n*d even, sparse or dense up to d = n - 1."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.one_of(st.integers(1, min(6, n - 1)), st.integers(max(1, n - 4), n - 1)))
+    return (n + 1, d) if n * d % 2 else (n, d)
+
+
+def reference_edge_list(g: Graph) -> str:
+    return f"# {g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+
+
+def reference_weight_rows(g: Graph, weights: np.ndarray) -> str:
+    return "u,v,weight\n" + "".join(f"{u},{v},{w}\n" for (u, v), w in zip(g.edges.tolist(), weights.tolist()))
+
+
+def assert_writers_match_reference(g: Graph, weights: np.ndarray, folder) -> None:
+    write_edge_list(g, folder / "g.txt")
+    assert (folder / "g.txt").read_text() == reference_edge_list(g)
+    state = SimpleNamespace(stage="final", weights=weights)
+    write_weights_csv(g, state, str(folder / "w.csv"), n=g.n, d=3, b=0.2, eps=0.05, seed=7)
+    header = f"# stage=final n={g.n} d=3 b=0.2 eps=0.05 seed=7\n"
+    assert (folder / "w.csv").read_text() == header + reference_weight_rows(g, weights)
 
 
 class TestGraphBasics:
@@ -99,6 +131,18 @@ class TestEdgeListCodec:
         path.write_text("0 1\nx y\n")
         with pytest.raises(InputFormatError, match="line 2"):
             read_edge_list(path)
+
+
+class TestWriters:
+    def test_sizes_around_the_block(self, tmp_path):
+        # one row short of a block, a full block, one row into the next,
+        # and more than two blocks, at the block size the writers use
+        pairs = np.array([(a, b) for a in range(200) for b in range(a + 1, 200)], dtype=np.int32)
+        rng = np.random.default_rng(5)
+        block = graphs._ROW_BLOCK
+        for m in (0, block - 1, block, block + 1, 2 * block + 3):
+            g = Graph(200, pairs[:m])
+            assert_writers_match_reference(g, rng.integers(-(10**12), 10**12, m), tmp_path)
 
 
 class TestGraph6Codec:
@@ -174,6 +218,44 @@ class TestGeneration:
         for n, d in [(6, 5), (10, 9), (12, 10)]:
             g = generate_random_regular(n, d, seed=3)
             assert np.all(g.degrees == d)
+
+    def test_pinned_graph_hash(self):
+        # the shuffle sequence is the graph: a different digest means every
+        # seed names a different graph than it used to
+        g = generate_random_regular(2500, 620, 424242)
+        digest = hashlib.sha256(g.edges.tobytes()).hexdigest()
+        assert digest == "92afb7826d8cb0b5b3699b7d33b547405dead032f3afa052c697585a1ea5a32d"
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairing_cases(), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 5, 200]))
+    def test_pairing_matches_reference(self, case, seed, max_rounds):
+        n, d = case
+        for attempt in range(3):
+            rng_seed = derive_seed(seed, "pairing", attempt)
+            got = graphs._pairing_attempt(n, d, np.random.default_rng(rng_seed), max_rounds)
+            want = pairing_reference._pairing_attempt(n, d, np.random.default_rng(rng_seed), max_rounds)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairing_cases(), st.integers(0, 2**32), st.integers(1, 3))
+    def test_generator_matches_reference(self, case, seed, max_attempts):
+        n, d = case
+        want = None
+        for attempt in range(max_attempts):
+            rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
+            want = pairing_reference._pairing_attempt(n, d, rng)
+            if want is not None:
+                break
+        if want is None:
+            with pytest.raises(RetryExhausted):
+                generate_random_regular(n, d, seed, max_attempts=max_attempts)
+        else:
+            got = generate_random_regular(n, d, seed, max_attempts=max_attempts)
+            assert np.array_equal(got.edges, Graph(n, want).edges)
 
 
 class TestInducedSubgraph:
@@ -370,6 +452,18 @@ class TestProperties:
         path = tmp_path_factory.mktemp("el") / "g.txt"
         write_edge_list(g, path)
         assert_matches_reference(read_edge_list(path), n, rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(), st.integers(1, 8), st.data())
+    def test_writers_match_row_loop(self, tmp_path_factory, case, block, data):
+        n, rows = case
+        g = Graph(n, rows)
+        weights = np.array(
+            data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=g.num_edges, max_size=g.num_edges)),
+            dtype=np.int64,
+        )
+        with mock.patch.object(graphs, "_ROW_BLOCK", block):
+            assert_writers_match_reference(g, weights, tmp_path_factory.mktemp("wr"))
 
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs(max_n=70))
