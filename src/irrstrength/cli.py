@@ -52,9 +52,13 @@ def _default_seed() -> int:
 
 def _load_graph(path: str) -> Graph:
     if path.endswith((".g6", ".graph6")):
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
+        # undecodable bytes come through as surrogates, so a non-ASCII byte
+        # is reported with its line instead of failing the read
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
+                if not line.isascii():
+                    raise InputFormatError(f"{path}: line {lineno}: non-ASCII byte")
                 if line:
                     return read_graph6(line)
         raise InputFormatError(f"{path}: no graph6 line found")

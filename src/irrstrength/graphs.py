@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,6 +24,11 @@ from .seeds import derive_seed
 
 _HEADER_RE = re.compile(r"#\s*(\d+)\s+(\d+)\s*$")
 _ROW_BLOCK = 4096  # rows per string written by format_rows
+# bytes per read in _read_lines; 1 MB blocks read no faster, but left 12 MB
+# more peak RSS in a write-and-verify round trip at n=2500, in freed
+# temporaries that the allocator keeps
+_READ_BLOCK = 1 << 16
+_MAX_DIGITS = 18  # the longest field _read_lines parses, so it fits int64
 
 
 class Graph:
@@ -172,31 +178,33 @@ def read_edge_list(path: str | Path) -> Graph:
     n_header: int | None = None
     ends = array("q")  # u0, v0, u1, v1, ...
     huge = -1  # largest id beyond int64, which ``ends`` cannot hold
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                match = _HEADER_RE.match(text)
-                if match is not None and n_header is None and not ends and huge < 0:
-                    n_header = int(match.group(1))
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise InputFormatError(f"line {lineno}: expected two integers, got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: expected two integers, got {text!r}") from None
-            if u < 0 or v < 0:
-                raise InputFormatError(f"line {lineno}: negative vertex id")
-            try:
-                ends.append(u)
-                ends.append(v)
-            except OverflowError:
-                huge = max(huge, u, v)
-                del ends[len(ends) // 2 * 2 :]  # a half-appended row
+    for lineno, line in _read_lines(path, b" ", 2, signed=False):
+        if isinstance(line, np.ndarray):
+            ends.frombytes(line.tobytes())
+            continue
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            match = _HEADER_RE.match(text)
+            if match is not None and n_header is None and not ends and huge < 0:
+                n_header = int(match.group(1))
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise InputFormatError(f"line {lineno}: expected two integers, got {text!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: expected two integers, got {text!r}") from None
+        if u < 0 or v < 0:
+            raise InputFormatError(f"line {lineno}: negative vertex id")
+        try:
+            ends.append(u)
+            ends.append(v)
+        except OverflowError:
+            huge = max(huge, u, v)
+            del ends[len(ends) // 2 * 2 :]  # a half-appended row
     edges = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     max_seen = max(huge, int(edges.max(initial=-1)))
     n = n_header if n_header is not None else max_seen + 1
@@ -207,6 +215,90 @@ def read_edge_list(path: str | Path) -> Graph:
         return Graph(n, edges)
     except ParameterError as exc:
         raise InputFormatError(str(exc)) from None
+
+
+def _read_lines(
+    path: str | Path, sep: bytes, fields: int, signed: bool
+) -> Iterator[tuple[int, np.ndarray | str]]:
+    """The lines of a text file in order, each item with its line number.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in text mode. A
+    run of consecutive plain lines, ``fields`` fields of 1 to 18 digits
+    joined by ``sep`` (the last one may start with ``-`` when ``signed``),
+    comes parsed as one int64 array of shape (lines, fields), numbered by
+    its first line; every other line comes as a str without its line end.
+    A line with a non-ASCII byte raises InputFormatError when it is
+    reached. Only one block of about ``_READ_BLOCK`` bytes is parsed at a
+    time.
+    """
+    lineno = 1
+    with open(path, "rb") as fh:
+        for text in _line_blocks(fh):
+            stops, plain = _plain_lines(np.frombuffer(text, dtype=np.uint8), sep[0], fields, signed)
+            starts = np.concatenate([[0], stops[:-1] + 1])
+            first = 0  # first line of the next plain run
+            for other in [*np.flatnonzero(~plain).tolist(), stops.size]:
+                if other > first:
+                    run = text[starts[first] : stops[other - 1]].replace(sep, b" ")
+                    yield lineno + first, np.fromstring(run, dtype=np.int64, sep=" ").reshape(-1, fields)
+                if other < stops.size:
+                    line = text[starts[other] : stops[other]]
+                    if not line.isascii():
+                        raise InputFormatError(f"line {lineno + other}: non-ASCII byte")
+                    yield lineno + other, line.decode("ascii")
+                first = other + 1
+            lineno += stops.size
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The file's whole lines in blocks, each line ending in ``\\n``, to
+    which ``\\r\\n`` and a lone ``\\r`` are turned, as text mode does."""
+    tail: list[bytes] = []
+    while block := fh.read(_READ_BLOCK):
+        # cut after the last line end; a final \r may begin a \r\n
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield _to_newlines(b"".join([*tail, block[:cut]]))
+            tail = []
+        tail.append(block[cut:])
+    last = _to_newlines(b"".join(tail))
+    if last:
+        yield last if last.endswith(b"\n") else last + b"\n"
+
+
+def _to_newlines(text: bytes) -> bytes:
+    return text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _plain_lines(data: np.ndarray, sep: int, fields: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the line ends in ``data``, the bytes of whole lines, and
+    which of the lines are plain in the sense of ``_read_lines``.
+
+    A line is told plain by its non-digit bytes alone: they must be
+    ``sep`` fields - 1 times and then the line end, each preceded by 1 to
+    18 digits; when ``signed``, a ``-`` right after the last ``sep`` may
+    come before the line end too.
+    """
+    marks = np.flatnonzero((data - np.uint8(ord("0"))) > 9)  # bytes other than 0..9
+    kinds = data[marks]
+    digits = np.diff(marks, prepend=-1)
+    digits -= 1  # digits just before each mark
+    line_ends = np.flatnonzero(kinds == ord("\n"))  # the marks that end a line
+    per_line = np.diff(line_ends, prepend=-1)
+    field, end = (sep, 1, _MAX_DIGITS), (ord("\n"), 1, _MAX_DIGITS)
+    layouts = [[field] * (fields - 1) + [end]]
+    if signed:
+        layouts.append([field] * (fields - 1) + [(ord("-"), 0, 0), end])
+    plain = np.zeros(line_ends.size, dtype=bool)
+    for layout in layouts:
+        rows = np.flatnonzero(per_line == len(layout))
+        last = line_ends[rows]
+        ok = np.ones(rows.size, dtype=bool)
+        for back, (kind, least, most) in enumerate(reversed(layout)):
+            ok &= kinds[last - back] == kind
+            ok &= (digits[last - back] >= least) & (digits[last - back] <= most)
+        plain[rows[ok]] = True
+    return marks[line_ends], plain
 
 
 def write_graph6(graph: Graph) -> str:
@@ -237,7 +329,8 @@ def read_graph6(line: str) -> Graph:
         text = text[len(">>graph6<<") :]
     if not text:
         raise InputFormatError("empty graph6 line")
-    data = np.frombuffer(text.encode("ascii", errors="replace"), dtype=np.uint8)
+    # every byte that encodes a non-ASCII character lies above 126
+    data = np.frombuffer(text.encode("utf-8", errors="surrogatepass"), dtype=np.uint8)
     if data.min() < 63 or data.max() > 126:
         raise InputFormatError("graph6 byte outside printable range 63..126")
     vals = data - 63

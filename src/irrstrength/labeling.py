@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, format_rows, weighted_degrees
+from .graphs import Graph, _read_lines, format_rows, weighted_degrees
 from .partition import PipelineParams, VertexPartition
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -418,36 +418,48 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
     rows before it are then resolved to edge ids in one lookup, so a
     missing or repeated edge on an earlier line is reported first."""
     n = g.n
-    buf = array("q")  # u, v, weight, line number per row
+    buf = array("q")  # u, v, weight per row
+    runs = array("q")  # first row and its line number, per run of rows on consecutive lines
     fault = None
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#") or text == "u,v,weight":
-                    continue
-                parts = text.split(",")
-                if len(parts) != 3:
-                    raise InputFormatError(f"line {lineno}: expected u,v,weight, got {text!r}")
-                try:
-                    u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise InputFormatError(f"line {lineno}: non-integer field in {text!r}") from None
-                if not _INT64_MIN <= wt <= _INT64_MAX:
-                    raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
-                buf.extend((u, v, wt, lineno))
+        for lineno, line in _read_lines(path, b",", 3, signed=True):
+            if isinstance(line, np.ndarray):
+                # an id outside 0..n-1 needs no check here: the lookup below
+                # reports its row with the same message, and no later line
+                # can be reported before it
+                runs.extend((len(buf) // 3, lineno))
+                buf.frombytes(line.tobytes())
+                continue
+            text = line.strip()
+            if not text or text.startswith("#") or text == "u,v,weight":
+                continue
+            parts = text.split(",")
+            if len(parts) != 3:
+                raise InputFormatError(f"line {lineno}: expected u,v,weight, got {text!r}")
+            try:
+                u, v, wt = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: non-integer field in {text!r}") from None
+            if not _INT64_MIN <= wt <= _INT64_MAX:
+                raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
+            runs.extend((len(buf) // 3, lineno))
+            buf.extend((u, v, wt))
     except InputFormatError as exc:
         fault = exc
-    rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, 4)
+    rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, 3)
     eids = g.edges_between(rows[:, 0], rows[:, 1])
     first_use = np.zeros(eids.size, dtype=bool)
     first_use[np.unique(eids, return_index=True)[1]] = True
     bad = np.flatnonzero((eids < 0) | ~first_use)
     if bad.size:
-        u, v, _, lineno = rows[bad[0]].tolist()
-        if eids[bad[0]] < 0:
+        row = int(bad[0])
+        u, v, _ = rows[row].tolist()
+        starts = np.frombuffer(runs, dtype=np.int64).reshape(-1, 2)
+        first_row, first_line = starts[np.searchsorted(starts[:, 0], row, side="right") - 1].tolist()
+        lineno = first_line + row - first_row
+        if eids[row] < 0:
             raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
         raise InputFormatError(f"line {lineno}: duplicate weight for edge ({u},{v})")
     if fault is not None:

@@ -240,6 +240,26 @@ class TestVerify:
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "graph_name, graph_bytes, weights_bytes, message",
+        [
+            ("g.txt", b"0 1\r\n1 2\xc3\xa9\n", b"u,v,weight\n0,1,1\n1,2,2\n", "line 2: non-ASCII byte"),
+            ("g.txt", b"0 1\n1 2\n", b"u,v,weight\n0,1,1\n1,2,\xc3\xa9\n", "line 3: non-ASCII byte"),
+            ("g.g6", b"\nBw\xe9\n", b"u,v,weight\n0,1,1\n1,2,2\n", "g.g6: line 2: non-ASCII byte"),
+        ],
+        ids=["edge-list", "csv", "graph6"],
+    )
+    def test_non_ascii_byte_exits_3_naming_its_line(
+        self, tmp_path, capsys, graph_name, graph_bytes, weights_bytes, message
+    ):
+        graph, weights = tmp_path / graph_name, tmp_path / "w.csv"
+        graph.write_bytes(graph_bytes)
+        weights.write_bytes(weights_bytes)
+        rc = main(["verify", "--graph", str(graph), "--weights", str(weights)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
 
 class TestExact:
     def test_path_strength_with_witness_block(self, tmp_path, capsys):

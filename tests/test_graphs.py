@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import re
 from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
@@ -26,7 +28,7 @@ from irrstrength import (
 from irrstrength import graphs
 from irrstrength.labeling import write_weights_csv
 from irrstrength.seeds import derive_seed
-from tests import pairing_reference
+from tests import pairing_reference, reader_reference
 
 
 def cycle(n: int) -> Graph:
@@ -170,6 +172,9 @@ class TestGraph6Codec:
             read_graph6("D\x19c")
         with pytest.raises(InputFormatError):
             read_graph6("Dhcc")
+        # a non-ASCII character must not pass as "?", a valid graph6 byte
+        with pytest.raises(InputFormatError, match="outside printable range"):
+            read_graph6("Dh\u00e9")
 
     def test_reference_agreement(self):
         nx = pytest.importorskip("networkx")
@@ -374,6 +379,93 @@ def graphs_with_subsets(draw) -> tuple[Graph, list[int]]:
     return Graph(n, edges), verts
 
 
+@st.composite
+def row_texts(draw, values: tuple[int, ...], seps: list[str]) -> str:
+    """``values`` joined by ``seps[0]`` as the writers write them, three
+    times in four; else each one padded, signed, underscored or with
+    leading zeros as int() still reads it, joined by any of ``seps``."""
+    if draw(st.integers(0, 3)):
+        return seps[0].join(map(str, values))
+    pads = st.sampled_from(["", "", " ", "\t"])
+
+    def spelled(value: int) -> str:
+        sign, digits = "-" * (value < 0), str(abs(value))
+        underscored = f"{digits[0]}_{digits[1:]}" if digits[1:] else digits
+        forms = [digits, f"+{digits}", f"0{digits}", "0" * 17 + digits, underscored]
+        return draw(pads) + sign + draw(st.sampled_from(forms)) + draw(pads)
+
+    return draw(st.sampled_from(seps)).join(map(spelled, values))
+
+
+def ids(n: int) -> st.SearchStrategy[int]:
+    """Vertex ids, mostly in 0..n-1, else just past it, negative, or of
+    18 to 21 digits, in and beyond the int64 range."""
+    return st.one_of(
+        st.integers(0, max(n - 1, 0)),
+        st.sampled_from([n, n + 1, -1, 10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1, 10**20]),
+    )
+
+
+@st.composite
+def text_files(draw, lines: list[str]) -> bytes:
+    """``lines`` ended by \\n, \\r\\n or \\r at random, the last one maybe
+    by nothing, in Latin-1 so that a line may carry a non-ASCII byte."""
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("latin-1")
+
+
+@st.composite
+def edge_list_files(draw) -> bytes:
+    """Edge lists mixing the writer's plain rows with every other line
+    the reader meets: spaced, tabbed and signed ids, headers, comments,
+    blank lines, faulty rows, and ids out of range or beyond int64."""
+    n, rows = draw(simple_graphs(max_n=8))
+    seps = [" ", "  ", "\t", " \t"]
+    lines = [draw(row_texts(row, seps)) for row in rows]
+    others = st.sampled_from(["", "  ", "# a comment", f"# {n} 9", "#4 2", "x y", "1 2 3", "7", "0 1\xe9"])
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.one_of(others, st.tuples(ids(n), ids(n)).flatmap(lambda row: row_texts(row, seps))))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.booleans()):
+        lines.insert(0, f"# {draw(st.integers(0, n + 1))} {len(rows)}")
+    return draw(text_files(lines))
+
+
+def read_outcome(read) -> object:
+    """A reader's result in comparable form, or its fault's message."""
+    try:
+        result = read()
+    except InputFormatError as exc:
+        return f"fault: {exc}"
+    if isinstance(result, Graph):
+        return result.n, result.edges.tolist()
+    return result.dtype, result.tolist()
+
+
+def assert_reads_like_reference(tmp_path, data: bytes, block: int, read, reference) -> None:
+    """``read(path)``, fed blocks of ``block`` bytes, gives what
+    ``reference(path)`` gives. The reference cannot decode a non-ASCII byte;
+    there the reader must report the fault that the reference reports
+    for the lines before it, if that names a line, and else the byte."""
+    path, before = tmp_path / "file", tmp_path / "before"
+    path.write_bytes(data)
+    with mock.patch.object(graphs, "_READ_BLOCK", block):
+        got = read_outcome(lambda: read(path))
+    offset = 0
+    for lineno, line in enumerate(io.StringIO(data.decode("latin-1"), newline=""), start=1):
+        if not line.isascii():
+            before.write_bytes(data[:offset])
+            want = read_outcome(lambda: reference(before))
+            if not re.match(r"fault: line \d+: ", str(want)):
+                want = f"fault: line {lineno}: non-ASCII byte"
+            assert got == want
+            return
+        offset += len(line)
+    assert got == read_outcome(lambda: reference(path))
+
+
 def reference_components(g: Graph) -> list[tuple[list[int], list[int]]]:
     """FIFO BFS one neighbor at a time: (order, forward) per component."""
     seen = [False] * g.n
@@ -452,6 +544,12 @@ class TestProperties:
         path = tmp_path_factory.mktemp("el") / "g.txt"
         write_edge_list(g, path)
         assert_matches_reference(read_edge_list(path), n, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_files(), st.integers(1, 64))
+    def test_edge_list_reader_matches_line_loop(self, tmp_path_factory, data, block):
+        tmp = tmp_path_factory.mktemp("el")
+        assert_reads_like_reference(tmp, data, block, read_edge_list, reader_reference.read_edge_list)
 
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs(), st.integers(1, 8), st.data())

@@ -29,6 +29,8 @@ from irrstrength import (
     write_weights_csv,
 )
 from irrstrength.labeling import _ceil_log_term
+from tests import reader_reference
+from tests.test_graphs import assert_reads_like_reference, ids, row_texts, simple_graphs, text_files
 from tests.test_partition import regular_graphs
 
 
@@ -358,7 +360,42 @@ class TestAssignOmegaPrime:
             assign_omega_prime(g, part, xa, budgets, state, empirical())
 
 
+@st.composite
+def weights_csv_files(draw) -> tuple[Graph, bytes]:
+    """A graph and a weights CSV for it that mixes the writer's plain rows
+    with every other line the reader meets: spaced, signed and padded
+    fields, headers, comments, blank lines, faulty rows, missing and
+    repeated edges, and ids and weights of 18 to 21 digits."""
+    n, edges = draw(simple_graphs(max_n=8))
+    weights = st.one_of(
+        st.integers(-5, 50),
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([10**18 - 1, -(10**18) + 1, 10**18, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**19 - 1, 10**20]),
+    )
+
+    # each edge once, but now and then missing or twice
+    copies = draw(st.lists(st.sampled_from([1] * 8 + [0, 2]), min_size=len(edges), max_size=len(edges)))
+    lines = [draw(row_texts((u, v, draw(weights)), [","])) for (u, v), k in zip(edges, copies) for _ in range(k)]
+    lines = draw(st.permutations(lines))
+    others = st.sampled_from(["", "  ", "# stage=final", "u,v,weight", "0,1", "0,1,x", "0,1,2,3", "0;1;2", "0,1,\xe9"])
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.one_of(others, st.tuples(ids(n), ids(n), weights).flatmap(lambda r: row_texts(r, [","]))))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    header = draw(st.sampled_from([[], ["u,v,weight"], ["# stage=final n=8", "u,v,weight"]]))
+    return Graph(n, edges), draw(text_files(header + lines))
+
+
 class TestWeightsCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(weights_csv_files(), st.integers(1, 64))
+    def test_reader_matches_line_loop(self, tmp_path_factory, case, block):
+        g, data = case
+        assert_reads_like_reference(
+            tmp_path_factory.mktemp("csv"), data, block,
+            lambda path: read_weights_csv(str(path), g),
+            lambda path: reader_reference.read_weights_csv(str(path), g),
+        )
+
     def test_round_trip(self, tmp_path):
         g, part, xa, budgets = tiny_instance()
         state = initial_weighting(g, part, xa, budgets)
