@@ -141,10 +141,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
     lines = [f"n={n}", f"d={d}", f"b={args.b!r}", f"eps={args.eps!r}"]
     lines.append(f"lower_bound={regular_lower_bound(n, d)}")
-    logn = math.log(n)
-    cap = (n / d) * (1.0 + 8.0 / logn ** args.b)
+    budgets = compute_budgets(n, d, args.b, args.eps)  # refuses n < 3, where ln n would divide by 0
+    cap = (n / d) * (1.0 + 8.0 / math.log(n) ** args.b)
     lines.append(f"guarantee_cap={cap!r}")
-    lines.extend(compute_budgets(n, d, args.b, args.eps).lines())
+    lines.extend(budgets.lines())
     lo, hi = strict_degree_window(n, args.b, args.eps)
     lines.append(f"window.low={lo!r}")
     lines.append(f"window.high={hi!r}")

@@ -28,7 +28,7 @@ def chernoff_bounds(n: int, p: float, t: float) -> tuple[float, float]:
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie strictly between 0 and 1, got {p!r}")
     mean = n * p
-    if t < 0 or t > mean:
+    if not 0 <= t <= mean:
         raise ParameterError(
             f"t={t!r} outside [0, np]={mean!r}; the bound hypothesis fails there"
         )
@@ -42,17 +42,6 @@ class TailEstimate:
     se_above: float
     se_below: float
     trials: int
-    resolution: float
-
-    def to_text(self) -> str:
-        return (
-            f"p_above={self.p_above!r}\n"
-            f"p_below={self.p_below!r}\n"
-            f"se_above={self.se_above!r}\n"
-            f"se_below={self.se_below!r}\n"
-            f"trials={self.trials}\n"
-            f"resolution={self.resolution!r}\n"
-        )
 
 
 def _stderr(phat: float, trials: int) -> float:
@@ -107,7 +96,6 @@ def binomial_tail_estimate(
         se_above=_stderr(p_above, trials),
         se_below=_stderr(p_below, trials),
         trials=trials,
-        resolution=1.0 / trials,
     )
 
 

@@ -57,12 +57,9 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed_checks(self) -> list[ConditionCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def worst(self) -> ConditionCheck | None:
         """The failed check with the largest relative overshoot."""
-        bad = self.failed_checks()
+        bad = [c for c in self.checks if not c.passed]
         if not bad:
             return None
 

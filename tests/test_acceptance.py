@@ -31,14 +31,14 @@ from irrstrength import (
     generate_random_regular,
     induced_subgraph,
     is_irregular,
-    pair_of,
     regular_lower_bound,
     run_distinguishing,
     run_pipeline,
-    sample_partition,
     weighted_degrees,
 )
 from irrstrength.cli import main
+from irrstrength.distinguish import pair_of
+from irrstrength.partition import sample_partition
 from tests.cubic_census import connected_cubic_graphs
 from tests.test_distinguish import budgets_with_m, tuned_state
 from tests.test_labeling import make_partition

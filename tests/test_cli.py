@@ -316,8 +316,23 @@ class TestBounds:
         ]
         assert out == "\n".join(expected) + "\n"
 
+    def test_single_vertex_exits_3_without_traceback(self, capsys):
+        rc = main(["bounds", "--n", "1", "--d", "1", "--b", "0.2", "--eps", "0.05"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "need n >= 3" in captured.err
+
 
 class TestLab:
+    def test_chernoff_nan_deviation_exits_3(self, capsys):
+        rc = main(["lab", "chernoff", "--n", "200", "--p", "0.5", "--t", "nan",
+                   "--trials", "10", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "t=nan" in captured.err
+
     def test_chernoff_row_matches_library(self, tmp_path, capsys):
         out_path = tmp_path / "tails.csv"
         argv = ["lab", "chernoff", "--n", "200", "--p", "0.5", "--t", "30",

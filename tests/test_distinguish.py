@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
-    Budgets,
     Graph,
     ParameterError,
     PipelineParams,
     StageFailure,
     WeightingState,
-    pair_of,
     run_distinguishing,
     separation_checks,
     weighted_degrees,
 )
+from irrstrength.distinguish import pair_of
+from irrstrength.labeling import Budgets
 from tests.test_labeling import make_partition
 
 
@@ -251,3 +253,48 @@ class TestSeparationChecks:
         assert not c.passed
         assert c.witness == "sigma(1) moved after tuning via edge (1,2)"
         assert c.violations == 1
+
+
+@st.composite
+def tuned_cases(draw):
+    """A random graph on up to 14 vertices (each pair an edge with
+    probability about 1/2, so few vertices end up isolated), random class
+    labels (0 is V0), a pair step m in 1..5 and random tuned weights on the
+    edges that are not U-edges; U-edges (both ends in a class >= 1) start
+    at 0."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    g = Graph(n, edges)
+    klass = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    weight_map = {
+        (u, v): draw(st.integers(1, 60)) for u, v in edges if not (klass[u] and klass[v])
+    }
+    return g, klass, weight_map, draw(st.integers(1, 5))
+
+
+class TestDistinguishingContract:
+    @settings(max_examples=300, deadline=None)
+    @given(tuned_cases())
+    def test_contract_holds_or_no_option(self, case):
+        g, klass, weight_map, m = case
+        part = make_partition(g, klass)
+        state = tuned_state(g, part, weight_map)
+        before = state.weights.copy()
+        u_edge = part.in_u[g.edges[:, 0]] & part.in_u[g.edges[:, 1]]
+        try:
+            run_distinguishing(g, part, budgets_with_m(m), state, empirical())
+        except StageFailure as exc:
+            assert exc.kind == "kkp_no_option"
+            return
+        assert int(state.mod_count.max(initial=0)) <= 2
+        increments = state.weights[u_edge] - before[u_edge]
+        assert increments.min(initial=0) >= 0 and increments.max(initial=0) <= 3 * m
+        assert np.array_equal(state.weights[~u_edge], before[~u_edge])
+        for i in range(1, 8):
+            sigma_i = state.sigma[part.klass == i]
+            assert np.unique(sigma_i).size == sigma_i.size, f"class {i}"
+        v0 = part.v0_vertices()
+        assert np.array_equal(state.sigma[v0], state.v0_sigma_at_tuned)
+        assert np.array_equal(state.sigma, weighted_degrees(g, state.weights))

@@ -8,27 +8,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
-    Budgets,
     Graph,
     InputFormatError,
     ParameterError,
     PipelineParams,
     StageFailure,
-    VertexPartition,
-    XAssignment,
     assign_omega_prime,
-    check_x_conditions,
     compute_budgets,
     find_x,
     generate_random_regular,
     initial_weighting,
     read_weights_csv,
-    sample_partition,
-    sample_x,
     weighted_degrees,
     write_weights_csv,
 )
-from irrstrength.labeling import _ceil_log_term
+from irrstrength.labeling import Budgets, XAssignment, _ceil_log_term, check_x_conditions, sample_x
+from irrstrength.partition import VertexPartition, sample_partition
 from tests import reader_reference
 from tests.test_graphs import assert_reads_like_reference, ids, row_texts, simple_graphs, text_files
 from tests.test_partition import regular_graphs

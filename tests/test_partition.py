@@ -9,12 +9,10 @@ from irrstrength import (
     ParameterError,
     PipelineParams,
     StageFailure,
-    check_partition,
     find_partition,
     generate_random_regular,
-    membership_probability,
-    sample_partition,
 )
+from irrstrength.partition import check_partition, membership_probability, sample_partition
 from irrstrength.seeds import derive_seed
 
 

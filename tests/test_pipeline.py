@@ -5,7 +5,6 @@ import math
 import pytest
 
 from irrstrength import (
-    FAILURE_KINDS,
     Graph,
     ParameterError,
     PipelineParams,
@@ -13,6 +12,7 @@ from irrstrength import (
     run_pipeline,
     strict_degree_window,
 )
+from irrstrength.pipeline import FAILURE_KINDS
 
 
 def empirical(slack: float = 1.0, retries: int = 100) -> PipelineParams:

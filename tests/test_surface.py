@@ -1,0 +1,58 @@
+"""Guard on the package namespace: the exported names are the entry
+points that the benchmark harness, the README and the CLI use, and no
+more."""
+
+from __future__ import annotations
+
+import re
+from functools import reduce
+from pathlib import Path
+
+import irrstrength
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def resolve(dotted: str) -> object:
+    """The object that ``irr.<dotted>`` names, failing if any part is missing."""
+    return reduce(getattr, dotted.split("."), irrstrength)
+
+
+def library_section() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_all_is_sorted_without_duplicates():
+    assert irrstrength.__all__ == sorted(set(irrstrength.__all__))
+
+
+def test_star_import_yields_exactly_all():
+    namespace: dict[str, object] = {}
+    exec("from irrstrength import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == irrstrength.__all__
+
+
+def test_benchmark_names_resolve_on_the_package():
+    text = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    used = set(re.findall(r"\birr\.([A-Za-z_][\w.]*)", text))
+    assert used
+    for dotted in used:
+        if "." not in dotted:
+            assert dotted in irrstrength.__all__, dotted
+        resolve(dotted)
+
+
+def test_readme_library_names_are_exported():
+    section = library_section()
+    quoted = set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
+    for block in re.findall(r"from irrstrength import ([\w, ]+)", section):
+        quoted.update(name.strip() for name in block.split(","))
+    bare = {name for name in quoted if "." not in name}
+    # the section lists every export by role, and nothing else bare
+    assert bare == set(irrstrength.__all__), sorted(bare ^ set(irrstrength.__all__))
+    for dotted in quoted - bare:
+        package, _, rest = dotted.partition(".")
+        assert package == "irrstrength", dotted
+        resolve(rest)

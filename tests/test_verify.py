@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irrstrength import (
-    Budgets,
     Graph,
     InputFormatError,
     ParameterError,
@@ -17,6 +16,7 @@ from irrstrength import (
     regular_lower_bound,
     weighted_degrees,
 )
+from irrstrength.labeling import Budgets
 from irrstrength.verify import _smallest_collision
 from tests.test_distinguish import tuned_state
 from tests.test_labeling import make_partition
