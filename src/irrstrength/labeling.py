@@ -13,12 +13,13 @@ import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, _read_lines, format_rows, weighted_degrees
+from .graphs import Graph, _read_lines, edge_weights, format_rows, weighted_degrees
 from .partition import PipelineParams, VertexPartition
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -391,9 +392,10 @@ def assign_omega_prime(
 
 
 def weight_rows(g: Graph, weights: np.ndarray) -> Iterator[str]:
-    """The ``u,v,weight`` header, then one row per edge in edge-id order."""
-    yield "u,v,weight\n"
-    yield from format_rows("{},{},{}\n", g.edges[:, 0], g.edges[:, 1], weights)
+    """The ``u,v,weight`` header, then one row per edge in edge-id order;
+    a vector that is not one integer per edge is refused at the call."""
+    weights = edge_weights(g, weights)
+    return chain(["u,v,weight\n"], format_rows(",", g.edges[:, 0], g.edges[:, 1], weights))
 
 
 def write_weights_csv(
@@ -406,9 +408,10 @@ def write_weights_csv(
     eps: float,
     seed: int,
 ) -> None:
+    rows = weight_rows(g, state.weights)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# stage={state.stage} n={n} d={d} b={b!r} eps={eps!r} seed={seed}\n")
-        fh.writelines(weight_rows(g, state.weights))
+        fh.writelines(rows)
 
 
 def read_weights_csv(path: str, g: Graph) -> np.ndarray:

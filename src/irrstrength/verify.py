@@ -222,9 +222,24 @@ def _feasible_with(g: Graph, k: int, order: list[tuple[int, int, int]]) -> tuple
     return np.asarray(weights, dtype=np.int64), nodes
 
 
+def _degree_sums_admit(n: int, d: int, k: int) -> bool:
+    """False when no k-weighting of a d-regular graph on n vertices can
+    be irregular. Its n weighted degrees would be distinct integers in
+    [d, kd], so their sum lies in [n*d + n(n-1)/2, n*k*d - n(n-1)/2],
+    and it is even, twice the total weight; the total's own range
+    [m, km] adds nothing, as 2m = n*d. The interval is empty below
+    ``regular_lower_bound(n, d)``; at it, it holds only the sum of
+    d..kd, which may be odd.
+    """
+    low = n * d + n * (n - 1) // 2
+    high = n * k * d - n * (n - 1) // 2
+    return low + low % 2 <= high
+
+
 def exact_strength(g: Graph, k_max: int = 16, max_edges: int = 20) -> ExactStrengthResult:
     """Least k admitting an irregular weighting with labels in {1..k},
-    by iterative deepening from the best known lower bound.
+    by iterative deepening; on a regular graph, a level that the sum of
+    the weighted degrees rules out is skipped without a search.
 
     Exceeding ``k_max`` is an answer ("> k_max"), not an error. Graphs
     beyond ``max_edges`` edges are refused up front.
@@ -240,16 +255,12 @@ def exact_strength(g: Graph, k_max: int = 16, max_edges: int = 20) -> ExactStren
             witness=np.zeros(0, dtype=np.int64), nodes_explored=0,
         )
 
-    degs = g.degrees
-    positive = degs[degs > 0]
-    if positive.size and int(positive.min()) == int(positive.max()) and int(np.count_nonzero(degs == 0)) == 0:
-        k_start = regular_lower_bound(g.n, int(positive[0]))
-    else:
-        k_start = 1
-
+    d = int(g.degrees[0]) if int(g.degrees.min()) == int(g.degrees.max()) else None
     order = _search_order(g)
     total_nodes = 0
-    for k in range(k_start, k_max + 1):
+    for k in range(1, k_max + 1):
+        if d is not None and not _degree_sums_admit(g.n, d, k):
+            continue
         witness, nodes = _feasible_with(g, k, order)
         total_nodes += nodes
         if witness is not None:

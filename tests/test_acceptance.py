@@ -11,6 +11,7 @@ per-run extracts on the spot; no weighting state outlives its run.
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import re
 import time
@@ -219,6 +220,7 @@ def test_a1_verifier_soundness():
 def test_a2_exact_oracle_vs_lower_bound():
     counts: dict[int, int] = {}
     ten_vertex: list[int] = []
+    witnesses: list[list[int]] = []
     for n in (4, 6, 8, 10):
         strengths = []
         for g in connected_cubic_graphs(n):
@@ -227,11 +229,15 @@ def test_a2_exact_oracle_vs_lower_bound():
             assert res.strength >= regular_lower_bound(n, 3)
             assert is_irregular(g, res.witness).irregular
             strengths.append(res.strength)
+            witnesses.append(res.witness.tolist())
         counts[n] = len(strengths)
         if n == 10:
             ten_vertex = strengths
     assert counts == {4: 1, 6: 2, 8: 5, 10: 19}
     assert set(ten_vertex) == {5}
+    # the witnesses of the plain search, which skipped no level
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == "59a4d7f73942a6c8f82ea3b31c9d07bb73fd3d6d9b86c432c0824ce62d594d9d"
 
     cycle_strengths = []
     for k in range(3, 13):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
 from itertools import accumulate
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from irrstrength import (
     write_graph6,
 )
 from irrstrength import graphs
-from irrstrength.labeling import write_weights_csv
+from irrstrength.labeling import read_weights_csv, write_weights_csv
 from irrstrength.seeds import derive_seed
 from tests import pairing_reference, reader_reference
 
@@ -136,14 +137,25 @@ class TestEdgeListCodec:
 
 
 class TestWriters:
+    def test_every_integer_dtype_at_its_marks(self, tmp_path):
+        # every mark in one block and across blocks, then blocks that are
+        # all negative or all 0
+        for dtype in INT_DTYPES:
+            marks = dtype_marks(dtype)
+            for values in filter(None, (marks, [x for x in marks if x < 0], [0] * 5)):
+                for block in (1, 3, len(marks)):
+                    with mock.patch.object(graphs, "_ROW_BLOCK", block):
+                        assert_rows_match_loop(np.array(values, dtype=dtype), tmp_path)
+
     def test_sizes_around_the_block(self, tmp_path):
         # one row short of a block, a full block, one row into the next,
         # and more than two blocks, at the block size the writers use
-        pairs = np.array([(a, b) for a in range(200) for b in range(a + 1, 200)], dtype=np.int32)
-        rng = np.random.default_rng(5)
         block = graphs._ROW_BLOCK
+        n = math.isqrt(4 * block + 6) + 2  # n(n-1)/2 > 2 * block + 3 pairs
+        pairs = np.column_stack(np.triu_indices(n, 1)).astype(np.int32)
+        rng = np.random.default_rng(5)
         for m in (0, block - 1, block, block + 1, 2 * block + 3):
-            g = Graph(200, pairs[:m])
+            g = Graph(n, pairs[:m])
             assert_writers_match_reference(g, rng.integers(-(10**12), 10**12, m), tmp_path)
 
 
@@ -368,6 +380,42 @@ def simple_graphs(draw, max_n: int = 14) -> tuple[int, list[tuple[int, int]]]:
     return n, [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def dtype_marks(dtype) -> list[int]:
+    """The values of ``dtype`` among its extremes, 0, the powers of ten
+    and their neighbours, both signs, and the edges of 32 bits."""
+    info = np.iinfo(dtype)
+    marks = [0, int(info.min), int(info.max), 2**32 - 1, 2**32]
+    marks += [sign * (10**k + step) for k in range(20) for step in (-1, 0, 1) for sign in (1, -1)]
+    return [x for x in sorted(set(marks)) if info.min <= x <= info.max]
+
+
+@st.composite
+def dtype_values(draw, dtype) -> list[int]:
+    """Values of ``dtype``, its marks and any other; now and then they
+    are all negative or all 0."""
+    info = np.iinfo(dtype)
+    values = st.one_of(st.sampled_from(dtype_marks(dtype)), st.integers(int(info.min), int(info.max)))
+    kind = draw(st.sampled_from(["mixed", "mixed", "negative", "zero"]))
+    if kind == "negative" and info.min < 0:
+        values = values.filter(lambda x: x < 0)
+    elif kind == "zero":
+        values = st.just(0)
+    return draw(st.lists(values, min_size=1, max_size=24))
+
+
+def assert_rows_match_loop(values: np.ndarray, folder) -> None:
+    """Both writers, with ``values`` as weights, and ``format_rows`` on
+    three columns of them, give what the f-string loops give."""
+    g = Graph(len(values) + 1, [(0, v) for v in range(1, len(values) + 1)])
+    assert_writers_match_reference(g, values, folder)
+    columns = [values, values[::-1].copy(), np.roll(values, 1)]
+    want = "".join(f"{a},{b},{c}\n" for a, b, c in zip(*(c.tolist() for c in columns)))
+    assert "".join(graphs.format_rows(",", *columns)) == want
+
+
 @st.composite
 def graphs_with_subsets(draw) -> tuple[Graph, list[int]]:
     """A random simple graph on up to 14 vertices and a vertex list that
@@ -562,6 +610,42 @@ class TestProperties:
         )
         with mock.patch.object(graphs, "_ROW_BLOCK", block):
             assert_writers_match_reference(g, weights, tmp_path_factory.mktemp("wr"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(INT_DTYPES).flatmap(lambda dtype: st.tuples(st.just(dtype), dtype_values(dtype))),
+        st.integers(1, 8),
+    )
+    def test_every_integer_dtype_matches_row_loop(self, tmp_path_factory, case, block):
+        dtype, values = case
+        with mock.patch.object(graphs, "_ROW_BLOCK", block):
+            assert_rows_match_loop(np.array(values, dtype=dtype), tmp_path_factory.mktemp("wr"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(), st.integers(1, 8), st.data())
+    def test_written_rows_take_the_bulk_path(self, tmp_path_factory, case, block, data):
+        # every row the writers emit is plain in the readers' sense, so a
+        # round trip parses them all in bulk and none line by line
+        n, rows = case
+        g = Graph(n, rows)
+        weights = np.array(
+            data.draw(st.lists(st.integers(-(10**18) + 1, 10**18 - 1), min_size=g.num_edges, max_size=g.num_edges)),
+            dtype=np.int64,
+        )
+        folder = tmp_path_factory.mktemp("wr")
+        with mock.patch.object(graphs, "_ROW_BLOCK", block):
+            write_edge_list(g, folder / "g.txt")
+            state = SimpleNamespace(stage="final", weights=weights)
+            write_weights_csv(g, state, str(folder / "w.csv"), n=g.n, d=3, b=0.2, eps=0.05, seed=7)
+        for name, sep, fields, signed, headers in (("g.txt", b" ", 2, False, 1), ("w.csv", b",", 3, True, 2)):
+            text = (folder / name).read_bytes()
+            _, plain = graphs._plain_lines(np.frombuffer(text, dtype=np.uint8), sep[0], fields, signed)
+            assert plain.tolist() == [False] * headers + [True] * g.num_edges
+            lines = list(graphs._read_lines(folder / name, sep, fields, signed))
+            assert [line for _, line in lines if isinstance(line, str)] == text.decode("ascii").splitlines()[:headers]
+        back = read_edge_list(folder / "g.txt")
+        assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(read_weights_csv(str(folder / "w.csv"), back), weights)
 
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs(max_n=70))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from irrstrength import (
     weighted_degrees,
     write_weights_csv,
 )
-from irrstrength.labeling import Budgets, XAssignment, _ceil_log_term, check_x_conditions, sample_x
+from irrstrength.labeling import Budgets, XAssignment, _ceil_log_term, check_x_conditions, sample_x, weight_rows
 from irrstrength.partition import VertexPartition, sample_partition
 from tests import reader_reference
 from tests.test_graphs import assert_reads_like_reference, ids, row_texts, simple_graphs, text_files
@@ -402,6 +403,22 @@ class TestWeightsCsv:
         assert text.startswith("# stage=initial n=6 d=2 ")
         assert "seed=99" in text.splitlines()[0]
         assert text.splitlines()[1] == "u,v,weight"
+
+    def test_rows_refuse_a_short_vector(self, tmp_path):
+        # zip used to stop at the shorter column: two rows for three edges
+        g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+        with pytest.raises(InputFormatError, match=r"^weight vector covers \(2,\) entries, graph has 3 edges$"):
+            list(weight_rows(g, np.array([1, 2])))
+        path = tmp_path / "w.csv"
+        with pytest.raises(InputFormatError, match="weight vector covers"):
+            write_weights_csv(g, SimpleNamespace(stage="final", weights=np.array([1, 2])), str(path), 4, 1, 1.0, 0.5, 0)
+        assert not path.exists()
+
+    def test_rows_refuse_float_weights(self):
+        # 1.5 and 2.0 were written as such, which no reader accepts
+        g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+        with pytest.raises(InputFormatError, match=r"^weights must be integers, got dtype float64$"):
+            list(weight_rows(g, np.array([1.5, 2.0, 3.0])))
 
     def test_read_errors(self, tmp_path):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
@@ -17,7 +17,7 @@ from irrstrength import (
     weighted_degrees,
 )
 from irrstrength.labeling import Budgets
-from irrstrength.verify import _smallest_collision
+from irrstrength.verify import _degree_sums_admit, _feasible_with, _search_order, _smallest_collision
 from tests.test_distinguish import tuned_state
 from tests.test_labeling import make_partition
 
@@ -273,6 +273,42 @@ class TestExactStrength:
     def test_empty_graph_strength_one(self):
         res = exact_strength(Graph(1, []))
         assert res.strength == 1 and res.witness.size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_skipped_levels_have_no_weighting(self, data):
+        # the degree-sum certificate may only skip levels that the plain
+        # search exhausts; at most 11 edges keep that search short
+        n = data.draw(st.integers(2, 12))
+        d = data.draw(st.sampled_from([d for d in range(1, n) if n * d % 2 == 0 and n * d <= 22]))
+        g = generate_random_regular(n, d, seed=data.draw(st.integers(0, 2**32)))
+        skipped = [k for k in range(1, n + 1) if not _degree_sums_admit(n, d, k)]
+        k = data.draw(st.sampled_from(skipped))
+        assert _feasible_with(g, k, _search_order(g))[0] is None
+
+    def test_witnesses_of_the_plain_search(self):
+        # what the search found before it skipped any level
+        want = {
+            7: (5, [1, 1, 2, 2, 3, 4, 5]),
+            11: (7, [1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 7]),
+            12: (7, [1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 6, 7]),
+        }
+        for n, (strength, witness) in want.items():
+            res = exact_strength(cycle(n))
+            assert (res.strength, res.witness.tolist()) == (strength, witness)
+
+    def test_degree_sums_rule_out_levels_below_the_counting_bound(self):
+        # the search used to start at the bound; the certificate skips
+        # every level below it, and only at it adds a parity case: C7,
+        # C11 and the cubic graphs on 10 vertices reach the bound only
+        # with weighted degrees d..kd, whose sum is odd
+        for n in range(2, 40):
+            for d in range(1, n):
+                k = regular_lower_bound(n, d)
+                assert not _degree_sums_admit(n, d, k - 1) and _degree_sums_admit(n, d, k + 1)
+        parity = {(7, 2), (11, 2), (10, 3)}
+        for n, d in parity | {(5, 2), (4, 3), (9, 2)}:
+            assert _degree_sums_admit(n, d, regular_lower_bound(n, d)) == ((n, d) not in parity)
 
     def test_regular_start_skips_low_k(self):
         # on a regular graph the search starts at the proven lower bound
