@@ -1,10 +1,12 @@
 """Third stage: distinguish weighted degrees inside the control set U.
 
-Each component of the induced subgraph on U is processed along a
-reversed BFS order. A processed vertex's weighted degree is confined to
-a two-element set from the family that partitions the integers into
-pairs {2*lam*m + a, (2*lam+1)*m + a}; later coarse moves may only
-toggle it between the two elements. The final two vertices of every
+The pass reads G[U] off the parent graph under the U mask: a vertex
+sees only its edges to other U-vertices, and every id is a parent id.
+Each component of G[U] is processed along a reversed BFS order. A
+processed vertex's weighted degree is confined to a two-element set from
+the family that partitions the integers into pairs
+{2*lam*m + a, (2*lam+1)*m + a}; later coarse moves may only toggle it
+between the two elements. The final two vertices of every
 component run a joint endgame that additionally avoids every pair set
 assigned more than once.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StageFailure
-from .graphs import Graph, IndexMap, components_with_order, induced_subgraph
+from .graphs import Graph, components_with_order
 from .labeling import (
     DISTINGUISHED_ORD,
     STAGE_DISTINGUISHED,
@@ -121,8 +123,6 @@ class _Ctx:
     """Shared read-only handles for one run."""
 
     g: Graph
-    gu: Graph
-    imap: IndexMap
     part: VertexPartition
     state: WeightingState
     params: PipelineParams
@@ -156,13 +156,12 @@ def _apply_edge_deltas(
         st.sigma_counts.update(new[watched].tolist())
 
 
-def _vertex_edges(ctx: _Ctx, v_local: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parent neighbor ids and parent edge ids of a U-subgraph vertex,
-    both in ascending neighbor order."""
-    lo, hi = ctx.gu.indptr[v_local], ctx.gu.indptr[v_local + 1]
-    nbrs_local = ctx.gu.indices[lo:hi]
-    sub_eids = ctx.gu.edge_ids[lo:hi]
-    return ctx.imap.new_to_old[nbrs_local].astype(np.int64), ctx.imap.edge_parent[sub_eids].astype(np.int64)
+def _vertex_edges(ctx: _Ctx, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbors of v inside U and the edges to them, both in ascending
+    neighbor order."""
+    nbrs, eids = ctx.g.neighbors(v), ctx.g.incident_edges(v)
+    keep = ctx.part.in_u[nbrs]
+    return nbrs[keep].astype(np.int64), eids[keep].astype(np.int64)
 
 
 _Edges = tuple[np.ndarray, np.ndarray]
@@ -211,12 +210,11 @@ def _realize_coarse(
     _apply_edge_deltas(ctx, st, v, nbrs[top:], eids[top:], ctx.m if moves > 0 else -ctx.m)
 
 
-def _process_vertex(ctx: _Ctx, st: _AlgoState, v_local: int) -> None:
+def _process_vertex(ctx: _Ctx, st: _AlgoState, v: int) -> None:
     """Confine one ordinary (non-endgame) vertex to a fresh pair set."""
-    v = int(ctx.imap.new_to_old[v_local])
     klass = int(ctx.part.klass[v])
     m = ctx.m
-    nbrs, eids = _vertex_edges(ctx, v_local)
+    nbrs, eids = _vertex_edges(ctx, v)
     plus, minus = _split_backward(ctx, st, nbrs, eids)
     fwd = ~st.analyzed[nbrs]
     fwd_nbrs, fwd_eids = nbrs[fwd], eids[fwd]
@@ -273,7 +271,6 @@ def _settle_endgame_vertex(
     ctx: _Ctx,
     st: _AlgoState,
     v: int,
-    v_local: int,
     excluded_eids: set[int],
     forbidden_lows: set[int],
 ) -> PairSet:
@@ -287,7 +284,7 @@ def _settle_endgame_vertex(
     which implies that).
     """
     m = ctx.m
-    nbrs, eids = _vertex_edges(ctx, v_local)
+    nbrs, eids = _vertex_edges(ctx, v)
     plus, minus = _split_backward(ctx, st, nbrs, eids, skip_eids=excluded_eids)
     b_plus, b_minus = plus[1].size, minus[1].size
     sigma_cur = int(ctx.state.sigma[v])
@@ -372,20 +369,16 @@ def _check_endgame_thresholds(ctx: _Ctx, u1: int, u0: int, d_u1: int, d_u0: int)
         )
 
 
-def _endgame_general(
-    ctx: _Ctx, st: _AlgoState, u1_local: int, u0_local: int, size: int
-) -> ComponentRecord:
-    u1 = int(ctx.imap.new_to_old[u1_local])
-    u0 = int(ctx.imap.new_to_old[u0_local])
+def _endgame_general(ctx: _Ctx, st: _AlgoState, u1: int, u0: int, size: int) -> ComponentRecord:
     m = ctx.m
-    d_u1 = int(ctx.gu.degrees[u1_local])
-    d_u0 = int(ctx.gu.degrees[u0_local])
+    # part.du holds the degrees inside U
+    d_u1 = int(ctx.part.du[u1])
+    d_u0 = int(ctx.part.du[u0])
     _check_endgame_thresholds(ctx, u1, u0, d_u1, d_u0)
 
-    sub_eid = ctx.gu.edge_between(u1_local, u0_local)
-    if sub_eid is None:
+    e_star = ctx.g.edge_between(u1, u0)
+    if e_star is None:
         raise RuntimeError("endgame vertices are not adjacent; ordering logic broken")
-    e_star = int(ctx.imap.edge_parent[sub_eid])
 
     ranked = _endgame_edge_candidates(st, m, int(ctx.state.sigma[u1]), int(ctx.state.sigma[u0]))
     (c_max, _c_sum, _), wv = ranked[0]
@@ -402,24 +395,15 @@ def _endgame_general(
     _apply_edge_deltas(ctx, st, u1, u0, e_star, wv - m)
 
     s_t = st.multi_pair_lows()
-    pair1 = _settle_endgame_vertex(
-        ctx, st, u1, u1_local, excluded_eids={e_star}, forbidden_lows=s_t
-    )
+    pair1 = _settle_endgame_vertex(ctx, st, u1, excluded_eids={e_star}, forbidden_lows=s_t)
 
     # a single edge from the root to a holder of pair1 leaves the progression
-    nbrs0, eids0 = _vertex_edges(ctx, u0_local)
+    nbrs0, eids0 = _vertex_edges(ctx, u0)
     extra_excluded: set[int] = {e_star}
     hit = np.flatnonzero((eids0 != e_star) & st.analyzed[nbrs0] & (st.anchor_low[nbrs0] == pair1.low))
     if hit.size:
         extra_excluded.add(int(eids0[hit[0]]))
-    _settle_endgame_vertex(
-        ctx,
-        st,
-        u0,
-        u0_local,
-        excluded_eids=extra_excluded,
-        forbidden_lows=s_t | {pair1.low},
-    )
+    _settle_endgame_vertex(ctx, st, u0, excluded_eids=extra_excluded, forbidden_lows=s_t | {pair1.low})
     st.endgame.extend([u1, u0])
     return ComponentRecord(
         root=u0,
@@ -429,18 +413,13 @@ def _endgame_general(
     )
 
 
-def _endgame_two_vertex(
-    ctx: _Ctx, st: _AlgoState, u1_local: int, u0_local: int
-) -> ComponentRecord:
+def _endgame_two_vertex(ctx: _Ctx, st: _AlgoState, u1: int, u0: int) -> ComponentRecord:
     """Joint search for a component that is a single edge: both degrees
     are functions of the one edge value, so candidates are tried whole."""
-    u1 = int(ctx.imap.new_to_old[u1_local])
-    u0 = int(ctx.imap.new_to_old[u0_local])
     m = ctx.m
     _check_endgame_thresholds(ctx, u1, u0, 1, 1)
 
-    sub_eid = ctx.gu.edge_between(u1_local, u0_local)
-    e_star = int(ctx.imap.edge_parent[sub_eid])
+    e_star = ctx.g.edge_between(u1, u0)
     s_t = st.multi_pair_lows()
     sigma1 = int(ctx.state.sigma[u1])
     sigma0 = int(ctx.state.sigma[u0])
@@ -471,10 +450,9 @@ def _endgame_two_vertex(
     )
 
 
-def _process_isolated(ctx: _Ctx, st: _AlgoState, v_local: int) -> ComponentRecord:
+def _process_isolated(ctx: _Ctx, st: _AlgoState, v: int) -> ComponentRecord:
     """A vertex with no edges inside U keeps its degree; it only needs
     that degree (and its pair) to be free."""
-    v = int(ctx.imap.new_to_old[v_local])
     sigma_v = int(ctx.state.sigma[v])
     klass = int(ctx.part.klass[v])
     pair = pair_of(sigma_v, ctx.m)
@@ -500,16 +478,15 @@ def run_distinguishing(
     state: WeightingState,
     params: PipelineParams,
 ) -> DistinguishDiagnostics:
-    """Run the full pass over G[U]; mutates ``state`` to the
-    distinguished stage and returns diagnostics."""
+    """Run the full pass over G[U], read from ``g`` under the U mask;
+    mutates ``state`` to the distinguished stage and returns diagnostics."""
     state.require_stage(STAGE_TUNED)
     m = budgets.coarse_step
     u_verts = part.u_vertices()
-    gu, imap = induced_subgraph(g, u_verts)
 
     # every control edge starts one coarse step up; this initialization
     # is not a modification in the at-most-twice contract
-    peids = imap.edge_parent
+    peids = np.flatnonzero(part.in_u[g.edges[:, 0]] & part.in_u[g.edges[:, 1]])
     if peids.size:
         state.weights[peids] += m
         state.last_mod_stage[peids] = DISTINGUISHED_ORD
@@ -518,8 +495,6 @@ def run_distinguishing(
 
     ctx = _Ctx(
         g=g,
-        gu=gu,
-        imap=imap,
         part=part,
         state=state,
         params=params,
@@ -535,16 +510,16 @@ def run_distinguishing(
     )
 
     records: list[ComponentRecord] = []
-    for comp in components_with_order(gu):
-        size = int(comp.order.size)
+    for order in components_with_order(g, within=part.in_u):
+        size = int(order.size)
         if size == 1:
-            records.append(_process_isolated(ctx, st, int(comp.order[0])))
+            records.append(_process_isolated(ctx, st, int(order[0])))
         elif size == 2:
-            records.append(_endgame_two_vertex(ctx, st, int(comp.order[0]), int(comp.order[1])))
+            records.append(_endgame_two_vertex(ctx, st, int(order[0]), int(order[1])))
         else:
             for pos in range(size - 2):
-                _process_vertex(ctx, st, int(comp.order[pos]))
-            records.append(_endgame_general(ctx, st, int(comp.order[-2]), int(comp.order[-1]), size))
+                _process_vertex(ctx, st, int(order[pos]))
+            records.append(_endgame_general(ctx, st, int(order[-2]), int(order[-1]), size))
 
     state.stage = STAGE_DISTINGUISHED
 

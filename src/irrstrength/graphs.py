@@ -584,37 +584,25 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
     return sub, IndexMap(new_to_old=verts.astype(np.int32), old_to_new=old_to_new, edge_parent=edge_parent)
 
 
-@dataclass
-class ComponentOrder:
-    """One connected component with its processing order.
+def components_with_order(graph: Graph, within: np.ndarray | None = None) -> list[np.ndarray]:
+    """Connected components, each as its reversed BFS order from the
+    component's smallest vertex: every non-final vertex has a neighbor
+    (its BFS parent) later in the order, and the root sits last with its
+    first-visited child second to last, adjacent to it.
 
-    ``order`` is the reversed BFS order from the component's smallest
-    vertex, so the root sits last and its first-visited child second to
-    last (they are adjacent). ``forward[j]`` is the BFS parent of
-    ``order[j]``, a neighbor appearing later in the order; -1 for the
-    root itself.
+    ``within``, a boolean mask over the vertices, restricts the search to
+    the subgraph induced on them; vertices keep their ids. Components are
+    returned by ascending smallest vertex id and BFS visits neighbors in
+    ascending order, so the decomposition is deterministic in the graph
+    and the mask alone.
     """
-
-    order: np.ndarray
-    forward: np.ndarray
-
-
-def components_with_order(graph: Graph) -> list[ComponentOrder]:
-    """Connected components, each with a processing order whose every
-    non-final vertex has a designated neighbor later in the order.
-
-    Components are returned by ascending smallest vertex id; BFS visits
-    neighbors in ascending order, so the whole decomposition is
-    deterministic in the graph alone.
-    """
-    seen = np.zeros(graph.n, dtype=bool)
-    out: list[ComponentOrder] = []
+    seen = np.zeros(graph.n, dtype=bool) if within is None else ~within
+    out: list[np.ndarray] = []
     for root in range(graph.n):
         if seen[root]:
             continue
         seen[root] = True
         bfs = [root]
-        parent = [-1]
         head = 0
         while head < len(bfs):
             v = bfs[head]
@@ -625,11 +613,5 @@ def components_with_order(graph: Graph) -> list[ComponentOrder]:
             fresh = nb[~seen[nb]]
             seen[fresh] = True
             bfs.extend(fresh.tolist())
-            parent.extend([v] * fresh.size)
-        out.append(
-            ComponentOrder(
-                order=np.array(bfs[::-1], dtype=np.int64),
-                forward=np.array(parent[::-1], dtype=np.int64),
-            )
-        )
+        out.append(np.array(bfs[::-1], dtype=np.int64))
     return out

@@ -96,8 +96,8 @@ def compute_budgets(n: int, d: int, b: float, eps: float) -> Budgets:
         raise ParameterError(f"need n >= 3, got {n}")
     if not 1 <= d < n:
         raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
-    if b <= 0 or eps <= 0:
-        raise ParameterError(f"b and eps must be positive, got b={b}, eps={eps}")
+    if not (0 < b < math.inf and 0 < eps < math.inf):
+        raise ParameterError(f"b and eps must be finite and positive, got b={b}, eps={eps}")
     coarse_step = n // (3 * d)
     if coarse_step == 0:
         raise ParameterError(

@@ -38,10 +38,9 @@ class PipelineParams:
     mode: str = MODE_STRICT
 
     def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ParameterError(f"b must be positive, got {self.b}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        for name in ("b", "eps", "slack"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.mode not in (MODE_STRICT, MODE_EMPIRICAL):
             raise ParameterError(f"mode must be strict or empirical, got {self.mode!r}")
         if self.mode == MODE_STRICT and self.slack != 1.0:

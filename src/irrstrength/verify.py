@@ -241,9 +241,12 @@ def exact_strength(g: Graph, k_max: int = 16, max_edges: int = 20) -> ExactStren
     by iterative deepening; on a regular graph, a level that the sum of
     the weighted degrees rules out is skipped without a search.
 
-    Exceeding ``k_max`` is an answer ("> k_max"), not an error. Graphs
-    beyond ``max_edges`` edges are refused up front.
+    Exceeding ``k_max`` is an answer ("> k_max"), not an error. A
+    ``k_max`` below 1 and graphs beyond ``max_edges`` edges are refused
+    up front.
     """
+    if k_max < 1:
+        raise ParameterError(f"k_max must be >= 1, got {k_max}")
     if g.num_edges > max_edges:
         raise ParameterError(
             f"exact solver guard: {g.num_edges} edges exceeds the limit of {max_edges}"

@@ -278,12 +278,38 @@ class TestExact:
         assert out.startswith("strength=>2\n")
         assert "u,v,weight" not in out
 
+    def test_kmax_below_one_exits_3(self, tmp_path, capsys):
+        rc = main(["exact", "--graph", str(write_p3(tmp_path)), "--kmax", "-3"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert "k_max must be >= 1, got -3" in captured.err
+
     def test_empty_graph6_file_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.g6"
         empty.write_text("\n", encoding="ascii")
         rc = main(["exact", "--graph", str(empty)])
         assert rc == 3
         assert "no graph6 line found" in capsys.readouterr().err
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--n", "100", "--d", "10", "--b", "nan", "--eps", "0.1"],
+            ["bounds", "--n", "100", "--d", "10", "--b", "inf", "--eps", "0.1"],
+            ["weight", "--n", "200", "--d", "10", "--b", "1", "--eps", "nan", "--mode", "empirical"],
+            ["lab", "conditions", "--n", "60", "--d", "4", "--b", "1", "--eps", "0.1", "--slack", "nan",
+             "--trials", "2"],
+        ],
+    )
+    def test_exits_3_without_output(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite and positive" in captured.err
 
 
 class TestBounds:

@@ -176,6 +176,19 @@ class TestSmallComponents:
         assert exc.value.stage == "distinguish"
         assert exc.value.kind == "kkp_threshold"
 
+    def test_general_endgame_strict_threshold_counts_u_degrees(self):
+        # a triangle in U whose vertices each have 50 V0 neighbors: the
+        # endgame's option counts are the degrees inside U (2 and 2 - 1),
+        # not the full degrees, so the strict thresholds refuse it
+        edges = [(0, 1), (0, 2), (1, 2)] + [(u, 3 + 50 * u + j) for u in range(3) for j in range(50)]
+        g = Graph(153, edges)
+        part = make_partition(g, [1, 1, 1] + [0] * 150)
+        state = tuned_state(g, part, {(u, v): 1 for u, v in edges[3:]})
+        with pytest.raises(StageFailure) as exc:
+            run_distinguishing(g, part, budgets_with_m(3), state, PipelineParams(b=1.0, eps=1 / 12))
+        assert exc.value.kind == "kkp_threshold"
+        assert exc.value.witness == {"last_but_one": 1, "last": 0, "options": (2, 1)}
+
     def test_empty_control_set(self):
         g = Graph(3, [(0, 1), (1, 2)])
         part = make_partition(g, [0, 0, 0])
@@ -202,6 +215,18 @@ class TestExhaustedInterval:
         assert err.kind == "kkp_no_option"
         assert "vertex 7" in err.message
         assert err.witness["lo"] == 10 and err.witness["hi"] == 12
+
+    def test_fine_step_takes_a_u_edge(self):
+        # an isolated control vertex holds pair {12,14}, so vertex 7 (at
+        # 12, m=2) must step to 13 by a fine move on a forward edge; its
+        # lowest neighbor 2 is in V0, so the move must skip edge (2,7)
+        g = Graph(8, [(0, 3), (1, 4), (2, 7), (5, 6), (5, 7), (6, 7)])
+        part = make_partition(g, [0, 0, 0, 1, 1, 1, 1, 1])
+        state = tuned_state(g, part, {(0, 3): 12, (1, 4): 20, (2, 7): 8})
+        run_distinguishing(g, part, budgets_with_m(2), state, empirical())
+        assert state.weights[g.edge_between(5, 7)] == 3
+        assert state.mod_count[g.edge_between(2, 7)] == 0
+        assert state.sigma.tolist() == [12, 20, 8, 12, 20, 3, 2, 13]
 
 
 class TestSeparationChecks:

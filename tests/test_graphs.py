@@ -56,13 +56,27 @@ def reference_weight_rows(g: Graph, weights: np.ndarray) -> str:
     return "u,v,weight\n" + "".join(f"{u},{v},{w}\n" for (u, v), w in zip(g.edges.tolist(), weights.tolist()))
 
 
+def assert_same_lines(got: str, want: str) -> None:
+    """Fail on any difference, naming the first differing line; the
+    line lists keep their ends, so they are equal only when the texts
+    are. No assert diffs the texts, which takes minutes at 10^5 lines."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    if got_lines != want_lines:
+        pairs = zip(got_lines, want_lines)
+        first = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(got_lines), len(want_lines)))
+        pytest.fail(
+            f"line {first} differs: got {got_lines[first : first + 1]!r}, want {want_lines[first : first + 1]!r} "
+            f"({len(got_lines)} lines against {len(want_lines)})"
+        )
+
+
 def assert_writers_match_reference(g: Graph, weights: np.ndarray, folder) -> None:
     write_edge_list(g, folder / "g.txt")
-    assert (folder / "g.txt").read_text() == reference_edge_list(g)
+    assert_same_lines((folder / "g.txt").read_text(), reference_edge_list(g))
     state = SimpleNamespace(stage="final", weights=weights)
     write_weights_csv(g, state, str(folder / "w.csv"), n=g.n, d=3, b=0.2, eps=0.05, seed=7)
     header = f"# stage=final n={g.n} d=3 b=0.2 eps=0.05 seed=7\n"
-    assert (folder / "w.csv").read_text() == header + reference_weight_rows(g, weights)
+    assert_same_lines((folder / "w.csv").read_text(), header + reference_weight_rows(g, weights))
 
 
 class TestGraphBasics:
@@ -309,42 +323,42 @@ class TestComponentOrdering:
     def test_partition_into_components(self):
         g = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
         comps = components_with_order(g)
-        assert sorted(len(c.order) for c in comps) == [2, 2, 3]
-        seen = np.concatenate([c.order for c in comps])
+        assert sorted(len(order) for order in comps) == [2, 2, 3]
+        seen = np.concatenate(comps)
         assert sorted(seen.tolist()) == list(range(7))
 
     def test_reversed_bfs_properties(self):
         g = generate_random_regular(40, 3, seed=11)
-        for comp in components_with_order(g):
-            order = comp.order
-            pos = {int(v): i for i, v in enumerate(order)}
+        for order in components_with_order(g):
             # root (min id) comes last; every earlier vertex has a
-            # forward neighbor, namely its BFS parent
+            # neighbor later in the order, which the pass needs to keep
+            # a free edge for it
             assert order[-1] == order.min()
             for i in range(len(order) - 1):
-                parent = comp.forward[i]
-                assert parent >= 0
-                assert pos[int(parent)] > i
-                assert parent in g.neighbors(int(order[i]))
-            assert comp.forward[len(order) - 1] == -1
+                assert np.isin(g.neighbors(int(order[i])), order[i + 1 :]).any()
 
     def test_last_two_adjacent(self):
         # the second-to-last vertex is a BFS child of the root
         g = generate_random_regular(30, 4, seed=12)
-        for comp in components_with_order(g):
-            if len(comp.order) >= 2:
-                assert g.edge_between(int(comp.order[-1]), int(comp.order[-2])) is not None
+        for order in components_with_order(g):
+            if len(order) >= 2:
+                assert g.edge_between(int(order[-1]), int(order[-2])) is not None
 
     def test_deterministic_and_sorted_roots(self):
         g = Graph(6, [(4, 5), (0, 1), (2, 3)])
-        comps = components_with_order(g)
-        roots = [int(c.order[-1]) for c in comps]
+        roots = [int(order[-1]) for order in components_with_order(g)]
         assert roots == [0, 2, 4]
 
     def test_isolated_vertex_component(self):
         g = Graph(3, [(1, 2)])
-        comps = components_with_order(g)
-        assert [len(c.order) for c in comps] == [1, 2]
+        assert [len(order) for order in components_with_order(g)] == [1, 2]
+
+    def test_within_leaves_the_mask_alone(self):
+        g = cycle(6)
+        within = np.array([True, True, False, True, True, True])
+        comps = components_with_order(g, within)
+        assert [order.tolist() for order in comps] == [[3, 4, 5, 1, 0]]
+        assert within.tolist() == [True, True, False, True, True, True]
 
 
 def assert_matches_reference(g: Graph, n: int, edges: list[tuple[int, int]]) -> None:
@@ -413,7 +427,7 @@ def assert_rows_match_loop(values: np.ndarray, folder) -> None:
     assert_writers_match_reference(g, values, folder)
     columns = [values, values[::-1].copy(), np.roll(values, 1)]
     want = "".join(f"{a},{b},{c}\n" for a, b, c in zip(*(c.tolist() for c in columns)))
-    assert "".join(graphs.format_rows(",", *columns)) == want
+    assert_same_lines("".join(graphs.format_rows(",", *columns)), want)
 
 
 @st.composite
@@ -514,24 +528,23 @@ def assert_reads_like_reference(tmp_path, data: bytes, block: int, read, referen
     assert got == read_outcome(lambda: reference(path))
 
 
-def reference_components(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """FIFO BFS one neighbor at a time: (order, forward) per component."""
+def reference_components(g: Graph) -> list[list[int]]:
+    """FIFO BFS one neighbor at a time: the reversed order per component."""
     seen = [False] * g.n
     out = []
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
-        bfs, parent, head = [root], {root: -1}, 0
+        bfs, head = [root], 0
         while head < len(bfs):
             v = bfs[head]
             head += 1
             for u in g.neighbors(v).tolist():
                 if not seen[u]:
                     seen[u] = True
-                    parent[u] = v
                     bfs.append(u)
-        out.append((bfs[::-1], [parent[v] for v in bfs[::-1]]))
+        out.append(bfs[::-1])
     return out
 
 
@@ -657,5 +670,15 @@ class TestProperties:
     @given(graphs_with_subsets())
     def test_components_match_reference_bfs(self, case):
         g, _ = case
-        got = [(c.order.tolist(), c.forward.tolist()) for c in components_with_order(g)]
+        got = [order.tolist() for order in components_with_order(g)]
         assert got == reference_components(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_subsets())
+    def test_components_within_match_induced_subgraph(self, case):
+        g, verts = case
+        within = np.zeros(g.n, dtype=bool)
+        within[verts] = True
+        sub, imap = induced_subgraph(g, np.array(verts, dtype=np.int64))
+        want = [imap.new_to_old[order].tolist() for order in components_with_order(sub)]
+        assert [order.tolist() for order in components_with_order(g, within)] == want

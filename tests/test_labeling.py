@@ -105,6 +105,9 @@ class TestComputeBudgets:
             compute_budgets(100, 100, 1.0, 1.0)
         with pytest.raises(ParameterError):
             compute_budgets(100, 3, 0.0, 1.0)
+        for b, eps in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ParameterError, match="finite"):
+                compute_budgets(100, 3, b, eps)
 
     def test_near_integer_guard_fires(self):
         # power chosen so n / ln(n)^power lands on an integer up to float

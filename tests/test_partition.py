@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,13 @@ class TestPipelineParams:
             PipelineParams(b=0.0, eps=0.1)
         with pytest.raises(ParameterError):
             PipelineParams(b=1.0, eps=-0.2)
+
+    @pytest.mark.parametrize("field", ["b", "eps", "slack"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_refused(self, field, value):
+        kwargs = {"b": 1.0, "eps": 0.1, "slack": 1.0, "mode": "empirical", field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite and positive"):
+            PipelineParams(**kwargs)
 
     def test_mode_names(self):
         with pytest.raises(ParameterError):

@@ -256,6 +256,11 @@ class TestExactStrength:
         assert res.k_max == 2 and res.witness is None
         assert res.to_text().startswith("strength=>2")
 
+    @pytest.mark.parametrize("k_max", [0, -3])
+    def test_k_max_below_one_refused(self, k_max):
+        with pytest.raises(ParameterError, match="k_max"):
+            exact_strength(path_graph(3), k_max=k_max)
+
     def test_single_edge_undefined(self):
         with pytest.raises(ParameterError, match="isolated"):
             exact_strength(Graph(2, [(0, 1)]))
