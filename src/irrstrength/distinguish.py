@@ -490,8 +490,8 @@ def run_distinguishing(
     if peids.size:
         state.weights[peids] += m
         state.last_mod_stage[peids] = DISTINGUISHED_ORD
-        np.add.at(state.sigma, g.edges[peids, 0].astype(np.int64), m)
-        np.add.at(state.sigma, g.edges[peids, 1].astype(np.int64), m)
+        # du counts the control edges at each vertex of U
+        state.sigma[u_verts] += np.multiply(part.du[u_verts], m, dtype=np.int64)
 
     ctx = _Ctx(
         g=g,

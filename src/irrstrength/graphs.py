@@ -141,6 +141,16 @@ def edge_weights(g: Graph, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
+def require_int64_sums(g: Graph, weights: np.ndarray) -> None:
+    """Refuse integer edge weights whose weighted degrees could leave the
+    int64 range."""
+    if g.num_edges:
+        # bounded before any cast, which would wrap unsigned values above 2^63-1
+        peak = max(-int(weights.min()), int(weights.max())) * int(g.degrees.max())
+        if peak > np.iinfo(np.int64).max:
+            raise InputFormatError("weighted degrees may exceed the 64-bit integer range")
+
+
 def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
     """Per-vertex sum of incident edge weights, exact in int64.
 
@@ -149,12 +159,9 @@ def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
     answer returned is the true integer sum.
     """
     weights = edge_weights(g, weights)
+    require_int64_sums(g, weights)
     sigma = np.zeros(g.n, dtype=np.int64)
     if g.num_edges:
-        # bounded before the cast, which would wrap unsigned values above 2^63-1
-        peak = max(-int(weights.min()), int(weights.max())) * int(g.degrees.max())
-        if peak > np.iinfo(np.int64).max:
-            raise InputFormatError("weighted degrees may exceed the 64-bit integer range")
         w = weights.astype(np.int64, copy=False)
         np.add.at(sigma, g.edges[:, 0], w)
         np.add.at(sigma, g.edges[:, 1], w)

@@ -19,7 +19,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, _read_lines, edge_weights, format_rows, weighted_degrees
+from .graphs import Graph, _read_lines, edge_weights, format_rows, require_int64_sums, weighted_degrees
 from .partition import PipelineParams, VertexPartition
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -34,6 +34,7 @@ TUNED_ORD = _STAGE_ORDER.index(STAGE_TUNED)
 DISTINGUISHED_ORD = _STAGE_ORDER.index(STAGE_DISTINGUISHED)
 
 _NEAR_INTEGER_TOL = 1e-9
+_EDGE_BLOCK = 1 << 16  # edges per block of the heavy test
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -147,13 +148,16 @@ class XAssignment:
 
     The order sorts by (x, vertex id); the id tiebreak makes the order
     total even under float ties, so position j in ``order`` always has
-    exactly j earlier vertices (its |L| count).
+    exactly j earlier vertices (its |L| count). ``heavy`` holds the
+    ascending ids of the heavy edges, the inner V0 edges with
+    x_u + x_v >= 1, and r_size[v] counts those at v (its |R| count; 0 on U).
     """
 
     x: np.ndarray
     order: np.ndarray
     rank: np.ndarray
     r_size: np.ndarray
+    heavy: np.ndarray
 
 
 def sample_x(g: Graph, part: VertexPartition, seed: int) -> XAssignment:
@@ -168,15 +172,15 @@ def sample_x(g: Graph, part: VertexPartition, seed: int) -> XAssignment:
     rank = np.full(g.n, -1, dtype=np.int64)
     rank[order] = np.arange(order.size, dtype=np.int64)
 
-    # |R_v| = heavy G0-edges at v: x_u + x_v >= 1, i.e. x_u >= 1 - x_v
+    # x is NaN on U, so only inner V0 edges can pass the heavy test; blocks
+    # of edges keep its float temporaries small (650 MB at n=20000 unblocked)
     eu, ev = g.edges[:, 0], g.edges[:, 1]
-    inner = (~part.in_u[eu]) & (~part.in_u[ev])
-    iu, iv = eu[inner], ev[inner]
-    heavy = x[iu] + x[iv] >= 1.0
-    r_size = np.zeros(g.n, dtype=np.int64)
-    np.add.at(r_size, iu[heavy], 1)
-    np.add.at(r_size, iv[heavy], 1)
-    return XAssignment(x=x, order=order, rank=rank, r_size=r_size)
+    heavy = np.concatenate([
+        np.flatnonzero(x[eu[i : i + _EDGE_BLOCK]] + x[ev[i : i + _EDGE_BLOCK]] >= 1.0) + i
+        for i in range(0, max(g.num_edges, 1), _EDGE_BLOCK)
+    ])
+    r_size = np.bincount(eu[heavy], minlength=g.n) + np.bincount(ev[heavy], minlength=g.n)
+    return XAssignment(x=x, order=order, rank=rank, r_size=r_size, heavy=heavy)
 
 
 def check_x_conditions(
@@ -253,22 +257,32 @@ def initial_weighting(
     g: Graph, part: VertexPartition, xa: XAssignment, budgets: Budgets
 ) -> WeightingState:
     """Base weighting: heavy inner V0 edges get base, V0-U edges get
-    base + class * class_step, U-edges start at zero."""
+    base + class * class_step, U-edges start at zero.
+
+    With c_k = base + k * class_step, the weighted degrees follow from
+    the partition caches and r_size without a pass over the edges:
+        sigma(u) = d0(u) * c_klass(u)  on U,
+        sigma(v) = base * (r_size(v) + du(v)) + class_step * sum_k k * dui(v, k)  on V0.
+    Wrapping int64 arithmetic gives the true sums whenever they fit, and
+    weights whose sums might not are refused as weighted_degrees refuses
+    them.
+    """
     ends = part.klass[g.edges]
     ku, kv = ends[:, 0], ends[:, 1]
     # the class is int8, so the product is taken in int64
     w = np.multiply(np.maximum(ku, kv), budgets.class_step, dtype=np.int64)
     w += budgets.base
     w *= (ku == 0) != (kv == 0)
+    w[xa.heavy] = budgets.base
+    require_int64_sums(g, w)
 
-    inner = np.flatnonzero((ku == 0) & (kv == 0))
-    heavy = xa.x[g.edges[inner, 0]] + xa.x[g.edges[inner, 1]] >= 1.0
-    w[inner[heavy]] = budgets.base
-
+    coef = np.multiply(np.arange(8, dtype=np.int64), budgets.class_step) + budgets.base
+    sigma = np.where(part.in_u, part.d0 * coef[part.klass], part.dui @ coef[1:])
+    sigma += xa.r_size * budgets.base
     return WeightingState(
         stage=STAGE_INITIAL,
         weights=w,
-        sigma=weighted_degrees(g, w),
+        sigma=sigma,
         mod_count=np.zeros(g.num_edges, dtype=np.int16),
         last_mod_stage=np.zeros(g.num_edges, dtype=np.int8),
     )

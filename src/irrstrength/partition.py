@@ -115,7 +115,7 @@ def sample_partition(g: Graph, p: PipelineParams, seed: int) -> VertexPartition:
 
     # the graph is d-regular, so row v of the CSR holds exactly d classes
     nbr_class = klass[g.indices].reshape(g.n, d)
-    dui = np.stack([np.count_nonzero(nbr_class == c, axis=1) for c in range(1, 8)], axis=1).astype(np.int32)
+    dui = np.stack([(nbr_class == c).view(np.uint8).sum(axis=1, dtype=np.int32) for c in range(1, 8)], axis=1)
     du = dui.sum(axis=1, dtype=np.int32)
     return VertexPartition(in_u=in_u, klass=klass, du=du, d0=d - du, dui=dui)
 

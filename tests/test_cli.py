@@ -398,6 +398,28 @@ class TestLab:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bounds", "--n", "1", "--d", "1", "--b", "1", "--eps", "1"], 3),
+        (["verify", "--graph", "{graph}", "--weights", "{weights}"], 1),
+    ],
+    ids=["bounds-exit-3", "verify-exit-1"],
+)
+def test_module_entry_point_exits_with_main_code(tmp_path, argv, code):
+    # python -m irrstrength.cli used to drop main()'s return value and exit 0
+    graph = write_p3(tmp_path)
+    weights = write_weights(tmp_path, "w.csv", [(0, 1, 1), (1, 2, 1)])
+    argv = [arg.format(graph=graph, weights=weights) for arg in argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "irrstrength.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -3,7 +3,9 @@
 The expected hashes are the ones the benchmark recorded in
 perfbench/goldens.json; this module only reads them. Pipeline seed 0
 clears every weighting stage, so it covers the distinguishing pass;
-seed 1 stops at tuning.
+seed 1 stops at tuning. Seeds 19 (stops at tuning) and 22 (clears every
+weighting stage) draw two partitions, so they show that nothing of a
+rejected Las Vegas attempt leaks into the accepted one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ def reference_graph():
     return generate_random_regular(5000, 1242, seed=424242)
 
 
-@pytest.mark.parametrize("seed, keys", [(0, {"report", "weights", "sigma"}), (1, {"report"})])
+WEIGHTED = {"report", "weights", "sigma"}
+
+
+@pytest.mark.parametrize("seed, keys", [(0, WEIGHTED), (1, {"report"}), (19, {"report"}), (22, WEIGHTED)])
 def test_pipeline_matches_goldens(reference_graph, seed, keys):
     want = json.loads(GOLDENS.read_text(encoding="utf-8"))["pipeline_5000"][str(seed)]
     assert set(want) == keys

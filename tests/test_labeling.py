@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from irrstrength import (
     weighted_degrees,
     write_weights_csv,
 )
+from irrstrength import labeling
 from irrstrength.labeling import Budgets, XAssignment, _ceil_log_term, check_x_conditions, sample_x, weight_rows
 from irrstrength.partition import VertexPartition, sample_partition
 from tests import reader_reference
@@ -53,7 +55,8 @@ def make_partition(g: Graph, klass_list: list[int]) -> VertexPartition:
 
 
 def make_x(g: Graph, part: VertexPartition, values: dict[int, float]) -> XAssignment:
-    """XAssignment with the order caches rebuilt from explicit x values."""
+    """XAssignment with the order and heavy-edge caches rebuilt from
+    explicit x values."""
     x = np.full(g.n, np.nan)
     for v, xv in values.items():
         x[v] = xv
@@ -61,13 +64,21 @@ def make_x(g: Graph, part: VertexPartition, values: dict[int, float]) -> XAssign
     order = np.array(sorted(v0, key=lambda v: (x[v], v)), dtype=np.int64)
     rank = np.full(g.n, -1, dtype=np.int64)
     rank[order] = np.arange(order.size)
+    heavy = brute_heavy_edges(g, part, x)
     r_size = np.zeros(g.n, dtype=np.int64)
+    for eid in heavy:
+        r_size[g.edges[eid]] += 1
+    return XAssignment(x=x, order=order, rank=rank, r_size=r_size, heavy=np.array(heavy, dtype=np.int64))
+
+
+def brute_heavy_edges(g: Graph, part: VertexPartition, x: np.ndarray) -> list[int]:
+    """Ids of the inner V0 edges with x_u + x_v >= 1, one edge at a time."""
+    heavy = []
     for eid in range(g.num_edges):
         u, v = int(g.edges[eid, 0]), int(g.edges[eid, 1])
         if not part.in_u[u] and not part.in_u[v] and x[u] + x[v] >= 1.0:
-            r_size[u] += 1
-            r_size[v] += 1
-    return XAssignment(x=x, order=order, rank=rank, r_size=r_size)
+            heavy.append(eid)
+    return heavy
 
 
 class TestComputeBudgets:
@@ -156,6 +167,18 @@ class TestSampleX:
                 brute[u] += 1
                 brute[v] += 1
         assert np.array_equal(xa.r_size, brute)
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 800])
+    def test_heavy_matches_brute_force(self, setup, monkeypatch, block):
+        # the graph has 800 edges: one block by default, or blocks of 1, of 7
+        # with a short last block, or of exactly the edge count
+        g, part, _ = setup
+        if block is not None:
+            monkeypatch.setattr(labeling, "_EDGE_BLOCK", block)
+        xa = sample_x(g, part, seed=3)
+        want = brute_heavy_edges(g, part, xa.x)
+        assert want and xa.heavy.tolist() == want
+        assert xa.heavy.dtype == np.int64
 
     def test_deterministic(self, setup):
         g, part, _ = setup
@@ -260,6 +283,74 @@ class TestInitialWeighting:
         g, part, xa, budgets = tiny_instance()
         state = initial_weighting(g, part, xa, budgets)
         assert np.array_equal(state.sigma, weighted_degrees(g, state.weights))
+
+    @pytest.mark.parametrize(
+        "base, class_step, error, match",
+        [
+            (2**62, 3, InputFormatError, r"^weighted degrees may exceed the 64-bit integer range$"),
+            (10, 2**61, InputFormatError, r"^weighted degrees may exceed the 64-bit integer range$"),
+            (2**63, 3, OverflowError, "too large to convert"),
+            (10, 2**63, OverflowError, "too large to convert"),
+        ],
+    )
+    def test_huge_budgets_refused(self, base, class_step, error, match):
+        g, part, xa, _ = tiny_instance()
+        budgets = Budgets(
+            base=base, class_step=class_step, fine_cap=12, coarse_step=2, target_base=40, delta_span=3
+        )
+        with pytest.raises(error, match=match):
+            initial_weighting(g, part, xa, budgets)
+
+
+def wrap_int64(value: int) -> int:
+    return (value + 2**63) % 2**64 - 2**63
+
+
+@st.composite
+def weighting_instances(draw) -> tuple[Graph, VertexPartition, XAssignment]:
+    """A simple graph, not necessarily regular, with a hand-made
+    partition and x values that include exact halves and quarters, so
+    that x_u + x_v = 1 occurs."""
+    n, edges = draw(simple_graphs(max_n=10))
+    g = Graph(n, edges)
+    classes = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 5, 6, 7]), min_size=n, max_size=n))
+    part = make_partition(g, classes)
+    xs = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0.0, 1.0, exclude_max=True))
+    values = {int(v): draw(xs) for v in part.v0_vertices()}
+    return g, part, make_x(g, part, values)
+
+
+class TestInitialWeightingClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weighting_instances(),
+        st.one_of(st.integers(1, 100), st.integers(1, 2**63 - 1)),
+        st.one_of(st.integers(1, 100), st.integers(1, 2**63 - 1), st.sampled_from([2**61, 2**62])),
+    )
+    def test_sigma_matches_weighted_degrees(self, instance, base, class_step):
+        g, part, xa = instance
+        budgets = Budgets(
+            base=base, class_step=class_step, fine_cap=1, coarse_step=1, target_base=0, delta_span=1
+        )
+        # reference weights edge by edge in Python ints, wrapped as int64 arithmetic wraps
+        heavy, want = set(xa.heavy.tolist()), []
+        for eid, (u, v) in enumerate(g.edges.tolist()):
+            ku, kv = int(part.klass[u]), int(part.klass[v])
+            if (ku == 0) != (kv == 0):
+                want.append(wrap_int64(base + max(ku, kv) * class_step))
+            else:
+                want.append(base if eid in heavy else 0)
+        want = np.array(want, dtype=np.int64)
+        try:
+            want_sigma = weighted_degrees(g, want)
+        except InputFormatError as exc:
+            with pytest.raises(InputFormatError, match=f"^{re.escape(str(exc))}$"):
+                initial_weighting(g, part, xa, budgets)
+            return
+        state = initial_weighting(g, part, xa, budgets)
+        assert np.array_equal(state.weights, want)
+        assert state.sigma.dtype == np.int64
+        assert np.array_equal(state.sigma, want_sigma)
 
 
 class TestInitialWeightingProperty:
