@@ -2,7 +2,9 @@
 the exact small-graph solver, bound tables, and the Monte Carlo lab.
 
 Exit codes: 0 success (or verified irregular), 1 verified not
-irregular, 2 stage failure, 3 parameter or input error.
+irregular, 2 stage failure, 3 parameter or input error, or too little
+memory for the input (as for ``gen`` with n in the millions, whose
+pairing table takes n*n bits).
 """
 
 from __future__ import annotations
@@ -276,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StageFailure, RetryExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

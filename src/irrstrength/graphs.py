@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -30,6 +31,12 @@ _ROW_BLOCK = 16384
 # temporaries that the allocator keeps
 _READ_BLOCK = 1 << 16
 _MAX_DIGITS = 18  # the longest field _read_lines parses, so it fits int64
+_KEY_BLOCK = 1 << 16  # keys per block in _has_bits and _set_bits
+_WORD_BLOCK = 1 << 15  # 64-bit words per block in _edges_of
+# the fewest stubs for which generate_random_regular shuffles the next
+# attempt on a worker thread: G(10, 3) took 2.2 ms a call that way against
+# 0.4 ms without, and the two broke even near 2^18 stubs
+_PREFETCH_STUBS = 1 << 18
 
 
 class Graph:
@@ -451,9 +458,17 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
     that form new simple edges, and recycles the rest; an attempt dies
     when the leftover stubs provably admit no further edge (or a round
     cap is hit), and a fresh attempt restarts from its own derived seed.
-    An attempt marks accepted edges in an n*n-bit table (3.1 MB at
-    n=5000, 50 MB at n=20000), so for sparse graphs on very many vertices
-    that table, not the n*d stubs, sets the memory needed.
+    The first shuffle of attempt k+1 depends on its seed alone, so for
+    n*d of at least ``_PREFETCH_STUBS`` one worker thread makes it while
+    attempt k pairs. The worker is joined before the call returns; a
+    shuffle made for an attempt that never runs is dropped, and so is any
+    error it raised.
+
+    Stubs take 8 bytes each, and the prefetched next attempt holds a
+    second such array: 99 MB in all at n=5000, d=1242. An attempt marks
+    accepted edges in an n*n-bit table (3.1 MB at n=5000, 50 MB at
+    n=20000), so for sparse graphs on very many vertices that table, not
+    the stubs, sets the memory needed.
     """
     if n <= 0:
         raise ParameterError(f"need at least one vertex, got n={n}")
@@ -463,82 +478,157 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
     if d == 0:
         return Graph(n)
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
-        edges = _pairing_attempt(n, d, rng)
-        if edges is not None:
-            return Graph(n, edges)
-    raise RetryExhausted(
-        f"no simple {d}-regular graph on {n} vertices in {max_attempts} pairing attempts",
-        attempts=max_attempts,
-    )
+    edges = _first_pairing(n, d, seed, max_attempts)
+    if edges is None:
+        raise RetryExhausted(
+            f"no simple {d}-regular graph on {n} vertices in {max_attempts} pairing attempts",
+            attempts=max_attempts,
+        )
+    return Graph(n, edges)
 
 
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator, max_rounds: int = 200) -> np.ndarray | None:
-    stubs = np.repeat(np.arange(n, dtype=np.int32), d)
-    # bit k of ``seen`` marks the accepted edge with key k = lo*n + hi,
-    # which stays below n^2 < 2^62; the keys themselves are kept per round
-    # and sorted once at the end, since only their set decides the graph
-    seen = np.zeros(-(-n * n // 8), dtype=np.uint8)
-    taken = [np.empty(0, dtype=np.int64)]
-    for _ in range(max_rounds):
+def _first_pairing(n: int, d: int, seed: int, max_attempts: int) -> np.ndarray | None:
+    """The edges of the first of ``max_attempts`` pairing attempts that
+    succeeds, or None; every stub array is freed when it returns."""
+    ahead = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for attempt in range(max_attempts):
+            head = ahead
+            prefetch = attempt + 1 < max_attempts and n * d >= _PREFETCH_STUBS
+            ahead = pool.submit(_first_shuffle, n, d, seed, attempt + 1) if prefetch else None
+            rng, stubs = _first_shuffle(n, d, seed, attempt) if head is None else head.result()
+            del head
+            edges = _pairing_attempt(n, rng, stubs)
+            if edges is not None:
+                return edges
+            # freed before the next prefetch, so at most two stub arrays live
+            del rng, stubs
+    return None
+
+
+def _first_shuffle(n: int, d: int, seed: int, attempt: int) -> tuple[np.random.Generator, np.ndarray]:
+    """The generator of pairing attempt ``attempt`` and its stubs after
+    the attempt's first shuffle."""
+    rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
+    # numpy shuffles intp items on a faster path than int32 ones, and both
+    # give the same permutation
+    stubs = np.repeat(np.arange(n, dtype=np.intp), d)
+    rng.shuffle(stubs)
+    return rng, stubs
+
+
+def _pairing_attempt(
+    n: int, rng: np.random.Generator, stubs: np.ndarray, max_rounds: int = 200
+) -> np.ndarray | None:
+    """Pair ``stubs``, which ``rng`` has shuffled once, in at most
+    ``max_rounds`` rounds; the edges in canonical order, or None if the
+    attempt dies."""
+    num_edges = stubs.size // 2
+    # bit k of ``seen`` marks the accepted edge with key k = lo*n + hi, so
+    # its set bits are the attempt's edges, in canonical order; it is
+    # padded to whole 64-bit words for _edges_of
+    seen = np.zeros(-(-n * n // 64) * 8, dtype=np.uint8)
+    for rounds in range(max_rounds):
         if stubs.size == 0:
-            del stubs, seen
-            accepted = np.concatenate(taken)
-            del taken
-            accepted.sort()
-            out = np.empty((accepted.size, 2), dtype=np.int32)
-            np.floor_divide(accepted, n, out=out[:, 0], casting="unsafe")
-            np.remainder(accepted, n, out=out[:, 1], casting="unsafe")
-            return out
-        rng.shuffle(stubs)
+            return _edges_of(seen, n, num_edges)
+        if rounds:
+            rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = lo.astype(np.int64)
-        keys *= n
-        keys += hi
+        keys = _pair_keys(pairs, n)
         # a row pairs when it is no loop, no edge accepted before, and the
         # first row of its key; which rows stay decides the next shuffle,
         # so it must be the first one
-        take = lo != hi
-        del lo, hi
-        take &= ~_has_bits(seen, keys)
-        uniq = keys[take]
-        if uniq.size == 0:
+        take = pairs[:, 0] != pairs[:, 1]
+        if rounds:  # the first round finds ``seen`` empty
+            take &= ~_has_bits(seen, keys)
+        fresh = keys[take]
+        if fresh.size == 0:
             if not _stubs_suitable(stubs, seen, n):
                 return None
             continue
-        uniq.sort()
-        repeated = uniq[1:] == uniq[:-1]
-        if repeated.any():
+        fresh.sort()
+        repeated = fresh[1:][fresh[1:] == fresh[:-1]]
+        if repeated.size:
             # each repeated key is accepted this round by its first row, so
             # marking it in ``seen`` now picks out the rows that carry it
-            _set_bits(seen, uniq[1:][repeated])
+            _set_bits(seen, repeated)
             rep = np.flatnonzero(take & _has_bits(seen, keys))
-            first = np.unique(keys[rep], return_index=True)[1]
+            keys = keys[rep]
             take[rep] = False
-            take[rep[first]] = True
-            del rep, first
-            uniq = uniq[np.concatenate([[True], ~repeated])]
+            take[rep[_first_rows(keys)]] = True
+            del rep
         del keys, repeated
-        _set_bits(seen, uniq)
-        taken.append(uniq)
-        del uniq
+        # bitwise_or.at runs several times faster on sorted keys
+        _set_bits(seen, fresh)
+        del fresh
         stubs = pairs[~take].ravel()
         del pairs, take
     return None
+
+
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The key lo*n + hi of each row (lo, hi) of stubs, as uint32 when
+    every key fits, which halves a round's largest arrays and sorts
+    faster, and else as int64."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    keys = np.empty(len(pairs), dtype=np.uint32 if n * n <= 1 << 32 else np.int64)
+    # lo*n + hi = lo*(n-1) + a + b, made in place, without lo or hi arrays
+    np.minimum(a, b, out=keys, casting="unsafe")
+    keys *= n - 1
+    np.add(keys, a, out=keys, casting="unsafe")
+    np.add(keys, b, out=keys, casting="unsafe")
+    return keys
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """The position of each distinct key's first occurrence in ``keys``."""
+    order = np.argsort(keys)
+    grouped = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], grouped[1:] != grouped[:-1]]))
+    return np.minimum.reduceat(order, starts)
+
+
+def _edges_of(seen: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The ``m`` edges whose keys are the set bits of ``seen``, in
+    canonical order. The table is read a block of 64-bit words at a time,
+    and only its nonzero words are unpacked, so a sparse table reads fast."""
+    out = np.empty((m, 2), dtype=np.int32)
+    words = seen.view(np.uint64)
+    row = 0
+    for start in range(0, words.size, _WORD_BLOCK):
+        block = words[start : start + _WORD_BLOCK]
+        nonzero = np.flatnonzero(block)
+        # bit j of the i-th nonzero word, in the table's byte order; the
+        # bool view makes flatnonzero three times faster than on uint8
+        bits = np.unpackbits(block[nonzero].view(np.uint8), bitorder="little").view(bool)
+        at = np.flatnonzero(bits)
+        keys = nonzero[at >> 6]
+        keys += start
+        keys <<= 6
+        keys += at & 63
+        rows = out[row : row + keys.size]
+        np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]), casting="unsafe")
+        row += keys.size
+    return out
 
 
 _BIT = np.left_shift(1, np.arange(8)).astype(np.uint8)
 
 
 def _has_bits(bitset: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    return (bitset[keys >> 3] & _BIT[keys & 7]) != 0
+    """Whether the bit of each key is set; a block of keys at a time, so
+    that the index transients stay small."""
+    out = np.empty(keys.size, dtype=bool)
+    for start in range(0, keys.size, _KEY_BLOCK):
+        part = keys[start : start + _KEY_BLOCK]
+        np.not_equal(bitset[part >> 3] & _BIT[part & 7], 0, out=out[start : start + _KEY_BLOCK])
+    return out
 
 
 def _set_bits(bitset: np.ndarray, keys: np.ndarray) -> None:
-    np.bitwise_or.at(bitset, keys >> 3, _BIT[keys & 7])
+    for start in range(0, keys.size, _KEY_BLOCK):
+        part = keys[start : start + _KEY_BLOCK]
+        np.bitwise_or.at(bitset, part >> 3, _BIT[part & 7])
 
 
 def _stubs_suitable(stubs: np.ndarray, seen: np.ndarray, n: int) -> bool:

@@ -49,6 +49,12 @@ from tests.test_labeling import make_partition
 # is feasible on a fair share of seeds
 HARVEST_POINTS = ((5000, 1242, 10, 150), (20000, 4060, 10, 30))
 GRAPH_SEED = 424242
+# the edge digests of the two graphs: a different one means the graph
+# seed names another graph than the one the criteria were mined on
+GRAPH_DIGESTS = {
+    5000: "996b56562fc87e9c3abf2265dc7e759260599dc9486c2ee399abbd12b0f7b2e3",
+    20000: "ffc6c0c1b855b58460183f4f3056833857f5c47d16bfbe08df9dbdee15c5b0e5",
+}
 
 
 def wide_params(slack: float = 1.0, retries: int = 0) -> PipelineParams:
@@ -148,6 +154,9 @@ def _extract(g: Graph, res) -> RunExtract:
 
 def _mine_runs(n: int, d: int, need: int, cap: int) -> list[RunExtract]:
     g = generate_random_regular(n, d, GRAPH_SEED)
+    digest = hashlib.sha256(g.edges.tobytes()).hexdigest()
+    if digest != GRAPH_DIGESTS[n]:
+        pytest.fail(f"G({n}, {d}, {GRAPH_SEED}) has edge digest {digest}, not the pinned one")
     params = wide_params()
     out: list[RunExtract] = []
     for seed in range(cap):

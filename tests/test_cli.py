@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from irrstrength import graphs
 from irrstrength.cli import main
 from irrstrength.graphs import generate_random_regular, read_edge_list, read_graph6, write_graph6
 from irrstrength.lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
@@ -86,6 +87,28 @@ class TestGen:
         rc = main(["gen", "--n", "10", "--d", "3", "--seed", "0", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["_pairing_attempt", "_first_shuffle"])
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 116. GiB for an array"),
+             "error: out of memory: Unable to allocate 116. GiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, name, exc, message):
+        # gen --n 1000000 asks for a 116 GiB pairing table; the failed
+        # allocation is simulated, in the attempt and in its first shuffle
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(graphs, name, no_memory)
+        out = tmp_path / "g.txt"
+        rc = main(["gen", "--n", "10", "--d", "3", "--seed", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestWeight:

@@ -5,7 +5,8 @@ perfbench/goldens.json; this module only reads them. Pipeline seed 0
 clears every weighting stage, so it covers the distinguishing pass;
 seed 1 stops at tuning. Seeds 19 (stops at tuning) and 22 (clears every
 weighting stage) draw two partitions, so they show that nothing of a
-rejected Las Vegas attempt leaks into the accepted one.
+rejected Las Vegas attempt leaks into the accepted one. The reference
+graph itself is pinned by its edge digest.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ def sha256(data: bytes) -> str:
 @pytest.fixture(scope="module")
 def reference_graph():
     return generate_random_regular(5000, 1242, seed=424242)
+
+
+def test_reference_graph_is_pinned(reference_graph):
+    # a different digest means seed 424242 names another graph, and every
+    # golden below would be checked against it
+    digest = sha256(reference_graph.edges.tobytes())
+    assert digest == "996b56562fc87e9c3abf2265dc7e759260599dc9486c2ee399abbd12b0f7b2e3"
 
 
 WEIGHTED = {"report", "weights", "sigma"}

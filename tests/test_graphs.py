@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import re
+import threading
 from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
@@ -257,14 +258,96 @@ class TestGeneration:
         digest = hashlib.sha256(g.edges.tobytes()).hexdigest()
         assert digest == "92afb7826d8cb0b5b3699b7d33b547405dead032f3afa052c697585a1ea5a32d"
 
+    def test_numpy_shuffle_ignores_item_width(self):
+        # the generator shuffles intp stubs, on numpy's faster path, and its
+        # graphs are pinned to the permutations that int32 stubs got; a
+        # second shuffle on the same generator starts from the 32-bit draw
+        # that the first one left buffered
+        for seed in range(4):
+            narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1, 2, 3, 17, 1000, 65537):
+                for _ in range(2):
+                    a, b = np.arange(size, dtype=np.int32), np.arange(size, dtype=np.intp)
+                    narrow.shuffle(a)
+                    wide.shuffle(b)
+                    assert np.array_equal(a, b)
+            assert narrow.bit_generator.state == wide.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 65535, 65536, 65537, 2**31 - 1])
+    def test_pair_keys_at_the_width_boundary(self, n):
+        # keys switch from uint32 to int64 above n = 65536; the largest
+        # rows of either width must not wrap
+        rows = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0), (1, 0), (0, 1)]
+        keys = graphs._pair_keys(np.array(rows, dtype=np.intp), n)
+        assert keys.tolist() == [min(u, v) * n + max(u, v) for u, v in rows]
+
+    @staticmethod
+    def attempt_succeeds(n, d, seed, attempt):
+        rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
+        return pairing_reference._pairing_attempt(n, d, rng) is not None
+
+    @staticmethod
+    def failing_prefetch(monkeypatch):
+        """Shuffle every attempt after the first ahead, on the worker, and
+        make it raise MemoryError; returns the attempts asked for."""
+        asked = []
+        real = graphs._first_shuffle
+
+        def first_shuffle(n, d, seed, attempt):
+            asked.append(attempt)
+            if attempt > 0:
+                raise MemoryError("prefetch")
+            return real(n, d, seed, attempt)
+
+        monkeypatch.setattr(graphs, "_PREFETCH_STUBS", 0)
+        monkeypatch.setattr(graphs, "_first_shuffle", first_shuffle)
+        return asked
+
+    def test_unneeded_prefetch_error_is_dropped(self, monkeypatch):
+        assert self.attempt_succeeds(100, 6, 0, 0)
+        want = generate_random_regular(100, 6, seed=0)
+        asked = self.failing_prefetch(monkeypatch)
+        got = generate_random_regular(100, 6, seed=0)
+        assert sorted(asked) == [0, 1]
+        assert np.array_equal(got.edges, want.edges)
+
+    def test_needed_prefetch_error_is_raised(self, monkeypatch):
+        assert not self.attempt_succeeds(100, 6, 3, 0)
+        self.failing_prefetch(monkeypatch)
+        with pytest.raises(MemoryError, match="prefetch"):
+            generate_random_regular(100, 6, seed=3)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        before = set(threading.enumerate())
+        workers = set()
+        real = graphs._first_shuffle
+
+        def first_shuffle(*args):
+            workers.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(graphs, "_PREFETCH_STUBS", 0)
+        monkeypatch.setattr(graphs, "_first_shuffle", first_shuffle)
+        assert [self.attempt_succeeds(60, 5, 3, k) for k in range(3)] == [False, False, True]
+        generate_random_regular(60, 5, seed=3)
+        assert workers - before, "no attempt was shuffled on a worker"
+        assert set(threading.enumerate()) == before
+        with pytest.raises(RetryExhausted):
+            generate_random_regular(12, 10, seed=2, max_attempts=3)
+        assert set(threading.enumerate()) == before
+        self.failing_prefetch(monkeypatch)
+        with pytest.raises(MemoryError):
+            generate_random_regular(60, 5, seed=3)
+        assert set(threading.enumerate()) == before
+
     @settings(max_examples=200, deadline=None)
     @given(pairing_cases(), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 5, 200]))
     def test_pairing_matches_reference(self, case, seed, max_rounds):
         n, d = case
         for attempt in range(3):
-            rng_seed = derive_seed(seed, "pairing", attempt)
-            got = graphs._pairing_attempt(n, d, np.random.default_rng(rng_seed), max_rounds)
-            want = pairing_reference._pairing_attempt(n, d, np.random.default_rng(rng_seed), max_rounds)
+            got = graphs._pairing_attempt(n, *graphs._first_shuffle(n, d, seed, attempt), max_rounds)
+            rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
+            want = pairing_reference._pairing_attempt(n, d, rng, max_rounds)
             if want is None:
                 assert got is None
             else:
@@ -281,12 +364,14 @@ class TestGeneration:
             want = pairing_reference._pairing_attempt(n, d, rng)
             if want is not None:
                 break
-        if want is None:
-            with pytest.raises(RetryExhausted):
-                generate_random_regular(n, d, seed, max_attempts=max_attempts)
-        else:
-            got = generate_random_regular(n, d, seed, max_attempts=max_attempts)
-            assert np.array_equal(got.edges, Graph(n, want).edges)
+        # every attempt after the first is shuffled ahead on the worker
+        with mock.patch.object(graphs, "_PREFETCH_STUBS", 0):
+            if want is None:
+                with pytest.raises(RetryExhausted):
+                    generate_random_regular(n, d, seed, max_attempts=max_attempts)
+            else:
+                got = generate_random_regular(n, d, seed, max_attempts=max_attempts)
+                assert np.array_equal(got.edges, Graph(n, want).edges)
 
 
 class TestInducedSubgraph:
