@@ -464,6 +464,10 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
     shuffle made for an attempt that never runs is dropped, and so is any
     error it raised.
 
+    For d = n - 1 the complete graph, the only such graph, is returned
+    without pairing and whatever the seed: stub pairing almost never draws
+    it at large n, and every seed whose pairing does names this same graph.
+
     Stubs take 8 bytes each, and the prefetched next attempt holds a
     second such array: 99 MB in all at n=5000, d=1242. An attempt marks
     accepted edges in an n*n-bit table (3.1 MB at n=5000, 50 MB at
@@ -478,6 +482,8 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
     if d == 0:
         return Graph(n)
+    if d == n - 1:
+        return Graph(n, np.column_stack(np.triu_indices(n, 1)))
     edges = _first_pairing(n, d, seed, max_attempts)
     if edges is None:
         raise RetryExhausted(

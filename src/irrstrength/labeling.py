@@ -292,15 +292,12 @@ def initial_weighting(
 class FeasibilityReport:
     """Diagnostics of the fine-tuning stage.
 
-    deltas[j] is the increment vertex j of the sorted V0 order needed;
-    sandwich_rate is the fraction landing in [1, delta_span], the window
-    the asymptotic analysis predicts; separation_ok compares the largest
-    V0 weighted degree against the smallest one on U.
+    sandwich_rate is the fraction of the sorted V0 vertices whose needed
+    increment lands in [1, delta_span], the window the asymptotic analysis
+    predicts; separation_ok compares the largest V0 weighted degree
+    against the smallest one on U.
     """
 
-    deltas: np.ndarray
-    capacities: np.ndarray
-    feasible: bool
     sandwich_rate: float
     separation_ok: bool
     max_v0_sigma: int
@@ -380,9 +377,6 @@ def assign_omega_prime(
     span = budgets.delta_span
     sandwich = float(np.count_nonzero((deltas >= 1) & (deltas <= span)) / max(n0, 1))
     report = FeasibilityReport(
-        deltas=deltas,
-        capacities=capacities,
-        feasible=True,
         sandwich_rate=sandwich,
         separation_ok=separation_ok,
         max_v0_sigma=max_v0,

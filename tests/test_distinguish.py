@@ -15,8 +15,9 @@ from irrstrength import (
     separation_checks,
     weighted_degrees,
 )
-from irrstrength.distinguish import pair_of
+from irrstrength.distinguish import pair_low
 from irrstrength.labeling import Budgets
+from tests import distinguish_reference
 from tests.test_labeling import make_partition
 
 
@@ -49,21 +50,22 @@ def tuned_state(g: Graph, part, weight_map: dict[tuple[int, int], int]) -> Weigh
 
 class TestPairOf:
     def test_known_values(self):
-        assert pair_of(-3, 5).as_tuple() == (-8, -3)
-        assert pair_of(12, 5).as_tuple() == (12, 17)
-        assert pair_of(17, 5).as_tuple() == (12, 17)
-        assert pair_of(0, 1).as_tuple() == (0, 1)
+        assert pair_low(-3, 5) == pair_low(-8, 5) == -8
+        assert pair_low(12, 5) == pair_low(17, 5) == 12
+        assert pair_low(0, 1) == pair_low(1, 1) == 0
 
     def test_membership_and_indices(self):
-        p = pair_of(12, 5)
-        assert 12 in p and 17 in p and 14 not in p
-        assert p.offset == 2
-        assert p.parity_index == 1
-        assert p.high == 17
+        low = pair_low(12, 5)
+        # the pair {12, 17}: both members name it, 14 lies in another one
+        assert low == 12 and pair_low(17, 5) == low and pair_low(14, 5) != low
+        assert low + 5 == 17
+        # offset 2 and parity index 1: 12 = 2 * 1 * 5 + 2
+        assert low % 5 == 2
+        assert (low - low % 5) // (2 * 5) == 1
 
     def test_bad_step(self):
         with pytest.raises(ParameterError):
-            pair_of(3, 0)
+            pair_low(3, 0)
 
 
 class TestRunDistinguishingTriangle:
@@ -88,10 +90,9 @@ class TestRunDistinguishingTriangle:
         assert diag.endgame_vertices == [4, 3]
         assert diag.per_class_injective and diag.u_injective
         assert diag.multi_pair_count == 0
-        rec = diag.records[0]
-        assert rec.size == 3
-        assert rec.endgame_edge_value == 0
-        assert rec.last_two_sigmas == (40, 32)
+        # the endgame edge keeps the value it was given: its later
+        # moves all skip it
+        assert state.weights[g.edge_between(3, 4)] == 0
 
     def test_control_edge_weight_window(self):
         g, part, state = self.build()
@@ -140,7 +141,6 @@ class TestSmallComponents:
         diag = run_distinguishing(g, part, budgets_with_m(2), state, empirical())
         assert diag.components == 2
         assert diag.endgame_vertices == [2, 3]
-        assert all(r.size == 1 for r in diag.records)
         assert state.sigma[2] == 30 and state.sigma[3] == 32
 
     def test_isolated_collision_has_no_option(self):
@@ -158,12 +158,15 @@ class TestSmallComponents:
         part = make_partition(g, [0, 0, 1, 1])
         state = tuned_state(g, part, {(0, 2): 30, (1, 3): 40})
         diag = run_distinguishing(g, part, budgets_with_m(2), state, empirical())
-        rec = diag.records[0]
-        assert rec.size == 2
-        assert rec.endgame_edge_value in (0, 1, 2)
+        assert diag.components == 1
         # the later-ordered vertex (here 3) settles first in the endgame
+        assert diag.endgame_vertices == [3, 2]
+        # the edge's endgame value lies in [0, m] and is the only weight
+        # either endpoint gains inside U
+        w = int(state.weights[g.edge_between(2, 3)])
+        assert w in (0, 1, 2)
         s2, s3 = int(state.sigma[2]), int(state.sigma[3])
-        assert rec.last_two_sigmas == (s3, s2)
+        assert (s2, s3) == (30 + w, 40 + w)
         assert s2 != s3
         assert diag.per_class_injective
 
@@ -323,3 +326,36 @@ class TestDistinguishingContract:
         v0 = part.v0_vertices()
         assert np.array_equal(state.sigma[v0], state.v0_sigma_at_tuned)
         assert np.array_equal(state.sigma, weighted_degrees(g, state.weights))
+
+
+def _outcome(run, case, params: PipelineParams):
+    """Everything one pass leaves behind: its diagnostics or failure, and
+    the weighting state, failed runs included."""
+    g, klass, weight_map, m = case
+    part = make_partition(g, klass)
+    state = tuned_state(g, part, weight_map)
+    try:
+        diag = run(g, part, budgets_with_m(m), state, params)
+    except StageFailure as exc:
+        result = ("failure", exc.stage, exc.kind, exc.message, exc.witness)
+    else:
+        result = ("diagnostics", {k: v for k, v in vars(diag).items() if k != "records"})
+    arrays = (state.weights, state.sigma, state.mod_count, state.last_mod_stage)
+    return result, state.stage, [a.tolist() for a in arrays]
+
+
+class TestMatchesReference:
+    """The pass against its verbatim earlier version in
+    ``tests/distinguish_reference.py``: the same diagnostics (the earlier
+    per-component records aside), the same failure kind, message and
+    witness, and the same weights, sigma and modification marks."""
+
+    @pytest.mark.parametrize(
+        "params", [empirical(), PipelineParams(b=1.0, eps=1 / 12)], ids=["empirical", "strict"]
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(case=tuned_cases())
+    def test_same_outcome(self, params, case):
+        assert _outcome(run_distinguishing, case, params) == _outcome(
+            distinguish_reference.run_distinguishing, case, params
+        )

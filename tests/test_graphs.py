@@ -37,8 +37,12 @@ def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def complete_edges(n: int) -> np.ndarray:
+    return np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).reshape(-1, 2)
+
+
 def k4() -> Graph:
-    return Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    return Graph(4, complete_edges(4))
 
 
 @st.composite
@@ -220,6 +224,28 @@ class TestGeneration:
         g = generate_random_regular(4, 3, seed=123)
         assert np.array_equal(g.edges, k4().edges)
 
+    def test_complete_graph_without_pairing(self, monkeypatch):
+        # stub pairing almost never draws K_n at this size
+        def no_pairing(*args):
+            raise AssertionError("d = n - 1 must not pair stubs")
+
+        monkeypatch.setattr(graphs, "_first_pairing", no_pairing)
+        g = generate_random_regular(200, 199, seed=1)
+        assert g.num_edges == 200 * 199 // 2
+        assert np.all(g.degrees == 199)
+        assert np.array_equal(g.edges, complete_edges(200))
+
+    @pytest.mark.parametrize("n", [5, 60, 150])
+    def test_complete_graph_is_the_pairing_graph(self, n):
+        for seed in (0, 1):
+            for attempt in range(200):
+                rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
+                want = pairing_reference._pairing_attempt(n, n - 1, rng)
+                if want is not None:
+                    break
+            assert want is not None
+            assert np.array_equal(generate_random_regular(n, n - 1, seed).edges, Graph(n, want).edges)
+
     def test_odd_product_rejected(self):
         with pytest.raises(ParameterError):
             generate_random_regular(3, 1, seed=0)
@@ -243,8 +269,10 @@ class TestGeneration:
 
     def test_attempt_budget_exhausts(self):
         with pytest.raises(RetryExhausted) as exc:
-            generate_random_regular(6, 5, seed=5, max_attempts=0)
+            generate_random_regular(6, 4, seed=5, max_attempts=0)
         assert exc.value.attempts == 0
+        # like d = 0, d = n - 1 spends no pairing attempt
+        assert generate_random_regular(6, 5, seed=5, max_attempts=0).num_edges == 15
 
     def test_dense_cases_succeed(self):
         for n, d in [(6, 5), (10, 9), (12, 10)]:
@@ -364,6 +392,9 @@ class TestGeneration:
             want = pairing_reference._pairing_attempt(n, d, rng)
             if want is not None:
                 break
+        if want is None and d == n - 1:
+            # the complete graph comes without pairing, even where every attempt fails
+            want = complete_edges(n)
         # every attempt after the first is shuffled ahead on the worker
         with mock.patch.object(graphs, "_PREFETCH_STUBS", 0):
             if want is None:
