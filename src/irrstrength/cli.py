@@ -10,7 +10,6 @@ pairing table takes n*n bits).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -25,7 +24,7 @@ from .graphs import (
 )
 from .lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
 from .labeling import compute_budgets, read_weights_csv, weight_rows, write_weights_csv
-from .partition import MODE_EMPIRICAL, MODE_STRICT, PipelineParams
+from .partition import MODE_EMPIRICAL, MODE_STRICT, PipelineParams, log_power
 from .pipeline import run_pipeline, strict_degree_window
 from .seeds import derive_seed
 from .verify import exact_strength, is_irregular, regular_lower_bound
@@ -144,7 +143,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = [f"n={n}", f"d={d}", f"b={args.b!r}", f"eps={args.eps!r}"]
     lines.append(f"lower_bound={regular_lower_bound(n, d)}")
     budgets = compute_budgets(n, d, args.b, args.eps)  # refuses n < 3, where ln n would divide by 0
-    cap = (n / d) * (1.0 + 8.0 / math.log(n) ** args.b)
+    cap = (n / d) * (1.0 + 8.0 / log_power(n, args.b))
     lines.append(f"guarantee_cap={cap!r}")
     lines.extend(budgets.lines())
     lo, hi = strict_degree_window(n, args.b, args.eps)

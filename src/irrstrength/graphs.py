@@ -476,6 +476,8 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
     """
     if n <= 0:
         raise ParameterError(f"need at least one vertex, got n={n}")
+    if n > np.iinfo(np.int32).max:
+        raise ParameterError(f"vertex count {n} exceeds the 32-bit id range")
     if d < 0 or d >= n:
         raise ParameterError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2:

@@ -62,6 +62,8 @@ def binomial_tail_estimate(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if 8 * n > np.iinfo(np.intp).max:
+        raise ParameterError(f"n={n} is too large: numpy cannot size a row of {n} float64 draws")
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie strictly between 0 and 1, got {p!r}")
     rng = np.random.default_rng(derive_seed(seed, "binomial-tail", n, repr(p)))

@@ -20,7 +20,7 @@ from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
 from .graphs import Graph, _read_lines, edge_weights, format_rows, require_int64_sums, weighted_degrees
-from .partition import PipelineParams, VertexPartition
+from .partition import PipelineParams, VertexPartition, log_power
 from .report import ConditionReport, las_vegas, worst_instance
 
 # stage tags in pipeline order
@@ -83,7 +83,7 @@ def _ceil_log_term(n: int, k: int, power: float) -> tuple[int, bool]:
     Within 1e-9 of an integer the float result is untrustworthy, so the
     quotient is recomputed at 60 significant digits and flagged.
     """
-    q = n / (k * math.log(n) ** power)
+    q = n / (k * log_power(n, power))
     frac = q - math.floor(q)
     if min(frac, 1.0 - frac) < _NEAR_INTEGER_TOL:
         with mp.workdps(60):
@@ -189,10 +189,9 @@ def check_x_conditions(
     """Conditions (3)-(6): order-position and heavy-count concentration,
     split by whether x_v clears the threshold 1/ln^{2b+3eps} n."""
     n = g.n
-    logn = math.log(n)
-    tau = 1.0 / logn ** (2 * p.b + 3 * p.eps)
-    rel = 1.0 / logn ** (2 * p.b + 4 * p.eps)
-    low2 = 1.0 / logn ** (4 * p.b + 7 * p.eps)
+    tau = 1.0 / log_power(n, 2 * p.b + 3 * p.eps)
+    rel = 1.0 / log_power(n, 2 * p.b + 4 * p.eps)
+    low2 = 1.0 / log_power(n, 4 * p.b + 7 * p.eps)
 
     v0 = part.v0_vertices()
     n0 = v0.size
@@ -353,10 +352,7 @@ def assign_omega_prime(
         delta = int(deltas[idx])
         if delta == 0:
             continue
-        v = int(order[idx])
-        nbrs = g.neighbors(v)
-        eids = g.incident_edges(v)
-        u_eids = eids[part.in_u[nbrs]]
+        _, u_eids = part.u_edges(g, int(order[idx]))
         full, rem = divmod(delta, cap)
         w[u_eids[:full]] += cap
         state.last_mod_stage[u_eids[:full]] = TUNED_ORD

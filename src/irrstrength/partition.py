@@ -55,11 +55,20 @@ class PipelineParams:
         return self.mode == MODE_STRICT
 
 
+def log_power(n: int, p: float) -> float:
+    """(ln n)^p as a float; an exponent so large that the power overflows
+    is refused, where the float power itself would raise OverflowError."""
+    try:
+        return math.log(n) ** p
+    except OverflowError:
+        raise ParameterError(f"(ln n)^p overflows a float at n={n}, p={p!r}") from None
+
+
 def membership_probability(n: int, b: float, eps: float) -> float:
     """P(v in U) = 1/ln^{b+eps} n; must land in (0,1)."""
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
-    prob = 1.0 / math.log(n) ** (b + eps)
+    prob = 1.0 / log_power(n, b + eps)
     if not 0.0 < prob < 1.0:
         raise ParameterError(
             f"membership probability {prob} outside (0,1) for n={n}, b={b}, eps={eps}"
@@ -103,6 +112,13 @@ class VertexPartition:
     def v0_vertices(self) -> np.ndarray:
         return np.nonzero(~self.in_u)[0]
 
+    def u_edges(self, g: Graph, v: int) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of v inside U and the edges to them, both as int64
+        in ascending neighbor order."""
+        nbrs = g.neighbors(v)
+        keep = self.in_u[nbrs]
+        return nbrs[keep].astype(np.int64), g.incident_edges(v)[keep].astype(np.int64)
+
 
 def sample_partition(g: Graph, p: PipelineParams, seed: int) -> VertexPartition:
     d = g.regular_degree()
@@ -124,11 +140,10 @@ def check_partition(g: Graph, part: VertexPartition, p: PipelineParams) -> Condi
     """Evaluate the class-size window (1) and the per-vertex per-class
     degree window (2), right-hand sides scaled by slack."""
     n, d = g.n, g.regular_degree()
-    logn = math.log(n)
-    center_sizes = n / (7.0 * logn ** (p.b + p.eps))
-    half_sizes = p.slack * n / (7.0 * logn ** (2 * p.b + 4 * p.eps))
-    center_deg = d / (7.0 * logn ** (p.b + p.eps))
-    half_deg = p.slack * d / (7.0 * logn ** (2 * p.b + 4 * p.eps))
+    center_sizes = n / (7.0 * log_power(n, p.b + p.eps))
+    half_sizes = p.slack * n / (7.0 * log_power(n, 2 * p.b + 4 * p.eps))
+    center_deg = d / (7.0 * log_power(n, p.b + p.eps))
+    half_deg = p.slack * d / (7.0 * log_power(n, 2 * p.b + 4 * p.eps))
 
     sizes = part.class_sizes()
     dev_sizes = np.abs(sizes - center_sizes)

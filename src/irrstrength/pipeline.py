@@ -4,7 +4,6 @@ flat-text report. Stage timings stay on the result, never in reports."""
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -22,7 +21,7 @@ from .labeling import (
     find_x,
     initial_weighting,
 )
-from .partition import PipelineParams, VertexPartition, find_partition, membership_probability
+from .partition import PipelineParams, VertexPartition, find_partition, log_power, membership_probability
 from .report import ConditionReport
 from .verify import VerificationResult, finalize_and_check
 
@@ -44,8 +43,7 @@ def strict_degree_window(n: int, b: float, eps: float) -> tuple[float, float]:
     ln^(1+6b+12eps) n <= d <= n / ln^(2b+5eps) n."""
     if n < 3:
         raise ParameterError(f"need n >= 3, got {n}")
-    logn = math.log(n)
-    return logn ** (1.0 + 6.0 * b + 12.0 * eps), n / logn ** (2.0 * b + 5.0 * eps)
+    return log_power(n, 1.0 + 6.0 * b + 12.0 * eps), n / log_power(n, 2.0 * b + 5.0 * eps)
 
 
 @dataclass

@@ -161,19 +161,14 @@ def _search_order(g: Graph) -> list[tuple[int, int, int]]:
 def _feasible_with(g: Graph, k: int, order: list[tuple[int, int, int]]) -> tuple[np.ndarray | None, int]:
     """Backtracking search for a k-weighting with all weighted degrees
     distinct. Prunes as soon as a vertex with no unassigned incident
-    edges collides with another such vertex."""
+    edges collides with another such vertex. An isolated vertex needs no
+    check: ``_strength_defined`` refuses two of them, and a lone one's
+    degree 0 is below every completed degree, as every label is >= 1."""
     sigma = [0] * g.n
     remaining = g.degrees.astype(np.int64).tolist()
-    taken: dict[int, int] = {}
+    taken: set[int] = set()
     weights = [0] * g.num_edges
     nodes = 0
-
-    # vertices with no edges are complete from the start
-    for v in range(g.n):
-        if remaining[v] == 0:
-            taken[0] = taken.get(0, 0) + 1
-            if taken[0] > 1:
-                return None, 0
 
     def dfs(pos: int) -> bool:
         nonlocal nodes
@@ -188,28 +183,18 @@ def _feasible_with(g: Graph, k: int, order: list[tuple[int, int, int]]) -> tuple
             nodes += 1
             sigma[a] += val
             sigma[b] += val
-            ok = True
             placed: list[int] = []
-            if a_done:
-                sa = sigma[a]
-                if taken.get(sa, 0):
-                    ok = False
-                else:
-                    taken[sa] = 1
-                    placed.append(sa)
-            if ok and b_done:
-                sb = sigma[b]
-                if taken.get(sb, 0):
-                    ok = False
-                else:
-                    taken[sb] = 1
-                    placed.append(sb)
-            if ok:
+            for end, done in ((a, a_done), (b, b_done)):
+                if done:
+                    if sigma[end] in taken:
+                        break
+                    taken.add(sigma[end])
+                    placed.append(sigma[end])
+            else:
                 weights[eid] = val
                 if dfs(pos + 1):
                     return True
-            for s in placed:
-                del taken[s]
+            taken.difference_update(placed)
             sigma[a] -= val
             sigma[b] -= val
         remaining[a] += 1

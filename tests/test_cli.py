@@ -335,6 +335,55 @@ class TestNonFiniteParameters:
         assert captured.err.startswith("error: ") and "finite and positive" in captured.err
 
 
+class TestOversizedParameters:
+    """Finite inputs too large for a float power or a numpy array exit 3,
+    not with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--n", "5000", "--d", "1242", "--b", "400", "--eps", "0.05"],
+            ["lab", "conditions", "--n", "50", "--d", "4", "--b", "400", "--eps", "0.05",
+             "--trials", "2"],
+        ],
+        ids=["bounds", "lab-conditions"],
+    )
+    def test_log_power_overflow_exits_3(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows a float" in captured.err
+
+    def test_weight_reports_log_power_overflow_as_parameter(self, capsys):
+        rc = main(["weight", "--n", "50", "--d", "4", "--b", "400", "--eps", "0.05",
+                   "--mode", "empirical", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "failure.stage=entry\nfailure.kind=parameter\n" in out
+        assert "overflows a float" in out
+
+    @pytest.mark.parametrize("n", ["10000000000000000000", "3000000000"])
+    def test_gen_beyond_32_bit_ids_exits_3_before_pairing(self, n, tmp_path, capsys, monkeypatch):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("pairing started")
+
+        monkeypatch.setattr(graphs, "_first_pairing", no_pairing)
+        out = tmp_path / "g.txt"
+        rc = main(["gen", "--n", n, "--d", "2", "--seed", "1", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: vertex count {n} exceeds the 32-bit id range\n"
+        assert not out.exists()
+
+    def test_chernoff_row_too_long_for_numpy_exits_3(self, capsys):
+        rc = main(["lab", "chernoff", "--n", "100000000000000000000", "--p", "0.5", "--t", "1",
+                   "--trials", "1", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: n=100000000000000000000 is too large")
+
+
 class TestBounds:
     def test_matches_library_values(self, capsys):
         n, d, b, eps = 5000, 50, 1.0, 1.0 / 12.0

@@ -250,6 +250,10 @@ class TestGeneration:
         with pytest.raises(ParameterError):
             generate_random_regular(3, 1, seed=0)
 
+    def test_vertex_count_beyond_32_bit_ids_rejected(self):
+        with pytest.raises(ParameterError, match="32-bit id range"):
+            generate_random_regular(2**31, 2, seed=0)
+
     def test_degrees_and_simplicity(self):
         g = generate_random_regular(100, 6, seed=1)
         assert np.all(g.degrees == 6)

@@ -89,6 +89,9 @@ class TestBinomialTailEstimate:
             binomial_tail_estimate(0, 0.5, 0.0, trials=10, seed=0)
         with pytest.raises(ParameterError):
             binomial_tail_estimate(10, 1.0, 1.0, trials=10, seed=0)
+        # numpy cannot size a row of 8 * 2**60 bytes
+        with pytest.raises(ParameterError, match="too large"):
+            binomial_tail_estimate(2**60, 0.3, 1.0, trials=1, seed=0)
 
 
 class TestConditionFailureRates:

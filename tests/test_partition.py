@@ -14,7 +14,7 @@ from irrstrength import (
     find_partition,
     generate_random_regular,
 )
-from irrstrength.partition import check_partition, membership_probability, sample_partition
+from irrstrength.partition import check_partition, log_power, membership_probability, sample_partition
 from irrstrength.seeds import derive_seed
 
 
@@ -86,6 +86,13 @@ class TestMembershipProbability:
         # larger exponent shrinks the class side
         probs = [membership_probability(5000, b, 0.05) for b in (0.2, 0.5, 1.0, 2.0)]
         assert probs == sorted(probs, reverse=True)
+
+    def test_overflowing_exponent_is_a_parameter_error(self):
+        # ln(5000)^400.05 is about 10^372, beyond the float range, where
+        # the float power raises OverflowError
+        assert log_power(5000, 300.0) == math.log(5000) ** 300.0
+        with pytest.raises(ParameterError, match="overflows a float at n=5000"):
+            membership_probability(5000, 400.0, 0.05)
 
 
 class TestSamplePartition:

@@ -35,6 +35,11 @@ class TestStrictDegreeWindow:
         with pytest.raises(ParameterError):
             strict_degree_window(2, 1.0, 0.1)
 
+    def test_overflowing_exponent(self):
+        # ln(5000)^361.6 is about 10^336
+        with pytest.raises(ParameterError, match="overflows a float"):
+            strict_degree_window(5000, 60.0, 0.05)
+
 
 class TestEntryValidation:
     def test_non_regular_graph(self):
@@ -59,6 +64,14 @@ class TestEntryValidation:
         assert res.failure_kind == "parameter"
         assert "tuning span" in res.failure_message
         assert res.budgets is not None and res.budgets.delta_span < 1
+
+    def test_overflowing_log_power_is_reported(self):
+        # ln(50)^800.05 in the budgets overflows a float
+        g = generate_random_regular(50, 4, seed=1)
+        res = run_pipeline(g, PipelineParams(b=400.0, eps=0.05, mode="empirical"), seed=1)
+        assert res.failure_stage == "entry"
+        assert res.failure_kind == "parameter"
+        assert "overflows a float" in res.failure_message
 
     def test_strict_refuses_out_of_window(self):
         g = generate_random_regular(2000, 40, seed=3)

@@ -4,7 +4,9 @@ more."""
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -56,3 +58,19 @@ def test_readme_library_names_are_exported():
         package, _, rest = dotted.partition(".")
         assert package == "irrstrength", dotted
         resolve(rest)
+
+
+def test_runtime_imports_are_stdlib_numpy_or_mpmath():
+    # the runtime dependencies stay numpy + mpmath; anything else installed
+    # here (scipy among them) is not one
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mpmath"}
+    for path in sorted((ROOT / "src" / "irrstrength").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
