@@ -16,6 +16,7 @@ import sys
 from .errors import InputFormatError, ParameterError, RetryExhausted, StageFailure
 from .graphs import (
     Graph,
+    _check_regular_args,
     generate_random_regular,
     read_edge_list,
     read_graph6,
@@ -25,7 +26,7 @@ from .graphs import (
 from .lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
 from .labeling import compute_budgets, read_weights_csv, weight_rows, write_weights_csv
 from .partition import MODE_EMPIRICAL, MODE_STRICT, PipelineParams, log_power
-from .pipeline import run_pipeline, strict_degree_window
+from .pipeline import check_entry, run_pipeline, strict_degree_window
 from .seeds import derive_seed
 from .verify import exact_strength, is_irregular, regular_lower_bound
 
@@ -98,11 +99,17 @@ def _cmd_weight(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     if args.graph:
         g = _load_graph(args.graph)
+        result = run_pipeline(g, params, args.seed)
     else:
         if args.n is None or args.d is None:
             raise ParameterError("provide --graph or both --n and --d")
-        g = generate_random_regular(args.n, args.d, derive_seed(args.seed, "graph"))
-    result = run_pipeline(g, params, args.seed)
+        # parameters that need no graph are refused before pairing, which
+        # takes seconds at n=5000; the generator's own refusals come first
+        _check_regular_args(args.n, args.d)
+        result = check_entry(args.n, args.d, params, args.seed)
+        if result.failure_kind is None:
+            g = generate_random_regular(args.n, args.d, derive_seed(args.seed, "graph"))
+            result = run_pipeline(g, params, args.seed)
     if args.timings:
         for stage, seconds in result.timings:
             print(f"timing stage={stage} seconds={seconds:.3f}", file=sys.stderr)

@@ -451,6 +451,18 @@ def read_graph6(line: str) -> Graph:
 # random regular graphs
 
 
+def _check_regular_args(n: int, d: int) -> None:
+    """Refuse (n, d) for which ``generate_random_regular`` has no graph to draw."""
+    if n <= 0:
+        raise ParameterError(f"need at least one vertex, got n={n}")
+    if n > np.iinfo(np.int32).max:
+        raise ParameterError(f"vertex count {n} exceeds the 32-bit id range")
+    if d < 0 or d >= n:
+        raise ParameterError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
+    if (n * d) % 2:
+        raise ParameterError(f"n*d must be even, got n={n}, d={d}")
+
+
 def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Graph:
     """Sample a d-regular simple graph on n vertices via stub pairing.
 
@@ -474,14 +486,7 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
     n=20000), so for sparse graphs on very many vertices that table, not
     the stubs, sets the memory needed.
     """
-    if n <= 0:
-        raise ParameterError(f"need at least one vertex, got n={n}")
-    if n > np.iinfo(np.int32).max:
-        raise ParameterError(f"vertex count {n} exceeds the 32-bit id range")
-    if d < 0 or d >= n:
-        raise ParameterError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
-    if (n * d) % 2:
-        raise ParameterError(f"n*d must be even, got n={n}, d={d}")
+    _check_regular_args(n, d)
     if d == 0:
         return Graph(n)
     if d == n - 1:

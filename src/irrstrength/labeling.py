@@ -176,7 +176,7 @@ def sample_x(g: Graph, part: VertexPartition, seed: int) -> XAssignment:
     # of edges keep its float temporaries small (650 MB at n=20000 unblocked)
     eu, ev = g.edges[:, 0], g.edges[:, 1]
     heavy = np.concatenate([
-        np.flatnonzero(x[eu[i : i + _EDGE_BLOCK]] + x[ev[i : i + _EDGE_BLOCK]] >= 1.0) + i
+        np.flatnonzero(x.take(eu[i : i + _EDGE_BLOCK]) + x.take(ev[i : i + _EDGE_BLOCK]) >= 1.0) + i
         for i in range(0, max(g.num_edges, 1), _EDGE_BLOCK)
     ])
     r_size = np.bincount(eu[heavy], minlength=g.n) + np.bincount(ev[heavy], minlength=g.n)
@@ -252,19 +252,29 @@ class WeightingState:
             raise ParameterError(f"operation requires stage {expected!r}, state is at {self.stage!r}")
 
 
+def initial_sigma(part: VertexPartition, xa: XAssignment, budgets: Budgets) -> np.ndarray:
+    """Weighted degrees of the base weighting, in O(n) without its edges.
+
+    With c_k = base + k * class_step, they follow from the partition
+    caches and r_size:
+        sigma(u) = d0(u) * c_klass(u)  on U,
+        sigma(v) = base * (r_size(v) + du(v)) + class_step * sum_k k * dui(v, k)  on V0.
+    Wrapping int64 arithmetic gives the true sums whenever they fit.
+    """
+    coef = np.multiply(np.arange(8, dtype=np.int64), budgets.class_step) + budgets.base
+    sigma = np.where(part.in_u, part.d0 * coef[part.klass], part.dui @ coef[1:])
+    sigma += xa.r_size * budgets.base
+    return sigma
+
+
 def initial_weighting(
     g: Graph, part: VertexPartition, xa: XAssignment, budgets: Budgets
 ) -> WeightingState:
     """Base weighting: heavy inner V0 edges get base, V0-U edges get
     base + class * class_step, U-edges start at zero.
 
-    With c_k = base + k * class_step, the weighted degrees follow from
-    the partition caches and r_size without a pass over the edges:
-        sigma(u) = d0(u) * c_klass(u)  on U,
-        sigma(v) = base * (r_size(v) + du(v)) + class_step * sum_k k * dui(v, k)  on V0.
-    Wrapping int64 arithmetic gives the true sums whenever they fit, and
-    weights whose sums might not are refused as weighted_degrees refuses
-    them.
+    Weights whose sums might leave int64 are refused as weighted_degrees
+    refuses them; sigma is ``initial_sigma``.
     """
     ends = part.klass[g.edges]
     ku, kv = ends[:, 0], ends[:, 1]
@@ -274,14 +284,10 @@ def initial_weighting(
     w *= (ku == 0) != (kv == 0)
     w[xa.heavy] = budgets.base
     require_int64_sums(g, w)
-
-    coef = np.multiply(np.arange(8, dtype=np.int64), budgets.class_step) + budgets.base
-    sigma = np.where(part.in_u, part.d0 * coef[part.klass], part.dui @ coef[1:])
-    sigma += xa.r_size * budgets.base
     return WeightingState(
         stage=STAGE_INITIAL,
         weights=w,
-        sigma=sigma,
+        sigma=initial_sigma(part, xa, budgets),
         mod_count=np.zeros(g.num_edges, dtype=np.int16),
         last_mod_stage=np.zeros(g.num_edges, dtype=np.int8),
     )
@@ -303,26 +309,20 @@ class FeasibilityReport:
     min_u_sigma: int
 
 
-def assign_omega_prime(
-    g: Graph,
-    part: VertexPartition,
-    xa: XAssignment,
-    budgets: Budgets,
-    state: WeightingState,
-    params: PipelineParams,
-) -> FeasibilityReport:
-    """Raise each sorted-V0 vertex to its target weighted degree.
+def tuning_deltas(
+    part: VertexPartition, xa: XAssignment, budgets: Budgets, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and needed increments of the sorted V0 vertices, given
+    their weighted degrees ``sigma`` before tuning.
 
-    All-or-nothing: every needed increment must fit [0, du(v) * fine_cap]
-    before any edge is touched. Increments spread greedily over the
-    vertex's U-edges in ascending neighbor order, each edge capped at
-    fine_cap, so the per-edge window holds by construction.
+    Raises the delta_infeasible StageFailure unless every increment fits
+    [0, du(v) * fine_cap]. Only sigma enters, so the test can run on
+    ``initial_sigma`` before any weight vector exists.
     """
-    state.require_stage(STAGE_INITIAL)
     order = xa.order
     n0 = order.size
     targets = budgets.target_base + 1 + np.arange(n0, dtype=np.int64)
-    deltas = targets - state.sigma[order]
+    deltas = targets - sigma[order]
     capacities = part.du[order].astype(np.int64) * budgets.fine_cap
 
     bad = (deltas < 0) | (deltas > capacities)
@@ -345,6 +345,28 @@ def assign_omega_prime(
                 "violations": int(np.count_nonzero(bad)),
             },
         )
+    return targets, deltas
+
+
+def assign_omega_prime(
+    g: Graph,
+    part: VertexPartition,
+    xa: XAssignment,
+    budgets: Budgets,
+    state: WeightingState,
+    params: PipelineParams,
+) -> FeasibilityReport:
+    """Raise each sorted-V0 vertex to its target weighted degree.
+
+    All-or-nothing: every needed increment must fit [0, du(v) * fine_cap]
+    before any edge is touched. Increments spread greedily over the
+    vertex's U-edges in ascending neighbor order, each edge capped at
+    fine_cap, so the per-edge window holds by construction.
+    """
+    state.require_stage(STAGE_INITIAL)
+    order = xa.order
+    n0 = order.size
+    targets, deltas = tuning_deltas(part, xa, budgets, state.sigma)
 
     cap = budgets.fine_cap
     w = state.weights

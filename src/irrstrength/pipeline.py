@@ -19,7 +19,9 @@ from .labeling import (
     assign_omega_prime,
     compute_budgets,
     find_x,
+    initial_sigma,
     initial_weighting,
+    tuning_deltas,
 )
 from .partition import PipelineParams, VertexPartition, find_partition, log_power, membership_probability
 from .report import ConditionReport
@@ -52,7 +54,8 @@ class PipelineResult:
 
     Failed runs carry the failing stage, its kind from FAILURE_KINDS,
     and a message naming the witness; all reports gathered before the
-    failure stay available.
+    failure stay available. ``state`` is None until the tuning stage
+    accepts every increment, so a delta_infeasible run has none.
     """
 
     n: int
@@ -79,6 +82,13 @@ class PipelineResult:
     failure_kind: str | None = None
     failure_message: str | None = None
     timings: list[tuple[str, float]] = field(default_factory=list)
+
+    def failed(self, stage: str, kind: str, message: str) -> PipelineResult:
+        """Record the failure and return this result."""
+        self.failure_stage = stage
+        self.failure_kind = kind
+        self.failure_message = message
+        return self
 
     def to_text(self) -> str:
         p = self.params
@@ -140,36 +150,24 @@ def _prefixed(prefix: str, block: str) -> list[str]:
     return [prefix + line for line in block.rstrip("\n").split("\n")]
 
 
-def run_pipeline(g: Graph, params: PipelineParams, seed: int) -> PipelineResult:
-    """Run every stage in order; never raises on stage failure.
+def check_entry(n: int, d: int, params: PipelineParams, seed: int) -> PipelineResult:
+    """The entry checks of a run on an n-vertex d-regular graph, which
+    need no graph: budgets, tuning span and degree window.
 
-    The returned result always exists: entry validation problems appear
-    as kind "parameter", stage aborts under their own kind, and a
-    weighting that survives every stage but fails verification or the
-    label bound is reported as "verification" or "bound".
+    The result is filled up to the window; when a check fails it is the
+    failed run, with stage "entry" and kind "parameter".
     """
-    result = PipelineResult(n=g.n, d=None, params=params, seed=seed)
-    clock: list[tuple[str, float]] = []
-
-    def fail(stage: str, kind: str, message: str) -> PipelineResult:
-        result.failure_stage = stage
-        result.failure_kind = kind
-        result.failure_message = message
-        result.timings = clock
-        return result
-
+    result = PipelineResult(n=n, d=d, params=params, seed=seed)
     try:
-        d = g.regular_degree()
-        result.d = d
-        budgets = compute_budgets(g.n, d, params.b, params.eps)
+        budgets = compute_budgets(n, d, params.b, params.eps)
         result.budgets = budgets
-        result.membership_prob = membership_probability(g.n, params.b, params.eps)
+        result.membership_prob = membership_probability(n, params.b, params.eps)
         if budgets.delta_span < 1:
             raise ParameterError(
-                f"tuning span N={budgets.delta_span} is not positive at n={g.n}; "
+                f"tuning span N={budgets.delta_span} is not positive at n={n}; "
                 "the fine-tuning targets cannot fit"
             )
-        lo, hi = strict_degree_window(g.n, params.b, params.eps)
+        lo, hi = strict_degree_window(n, params.b, params.eps)
         result.window_low, result.window_high = lo, hi
         result.window_contains_d = lo <= d <= hi
         if params.strict and not result.window_contains_d:
@@ -178,57 +176,81 @@ def run_pipeline(g: Graph, params: PipelineParams, seed: int) -> PipelineResult:
                 "and mode is strict"
             )
     except ParameterError as exc:
-        return fail("entry", "parameter", str(exc))
+        result.failed("entry", "parameter", str(exc))
+    return result
+
+
+def run_pipeline(g: Graph, params: PipelineParams, seed: int) -> PipelineResult:
+    """Run every stage in order; never raises on stage failure.
+
+    The returned result always exists: entry validation problems appear
+    as kind "parameter", stage aborts under their own kind, and a
+    weighting that survives every stage but fails verification or the
+    label bound is reported as "verification" or "bound".
+    """
+    try:
+        d = g.regular_degree()
+    except ParameterError as exc:
+        return PipelineResult(n=g.n, d=None, params=params, seed=seed).failed("entry", "parameter", str(exc))
+    result = check_entry(g.n, d, params, seed)
+    if result.failure_kind is not None:
+        return result
+    budgets = result.budgets
 
     try:
-        with _timed(clock, "partition"):
+        with _timed(result.timings, "partition"):
             part, prep, attempts = find_partition(g, params, seed)
         result.partition = part
         result.partition_report = prep
         result.partition_attempts = attempts
 
-        with _timed(clock, "x"):
+        with _timed(result.timings, "x"):
             xa, xrep, xattempts = find_x(g, part, params, seed)
         result.x_report = xrep
         result.x_attempts = xattempts
 
-        with _timed(clock, "tuning"):
+        with _timed(result.timings, "tuning"):
+            # the increments depend on sigma alone, so an infeasible run is
+            # refused before the O(m) weight vector exists. Testing first
+            # cannot pre-empt initial_weighting's int64 refusal: a weight is
+            # at most base + 7 * class_step <= 8 * ceil(n/d), so a weighted
+            # degree stays below 8(n + d) < 2^35 for 32-bit vertex ids
+            tuning_deltas(part, xa, budgets, initial_sigma(part, xa, budgets))
             state = initial_weighting(g, part, xa, budgets)
             result.state = state
             result.feasibility = assign_omega_prime(g, part, xa, budgets, state, params)
 
-        with _timed(clock, "distinguish"):
+        with _timed(result.timings, "distinguish"):
             result.diagnostics = run_distinguishing(g, part, budgets, state, params)
 
-        with _timed(clock, "separation"):
+        with _timed(result.timings, "separation"):
             sep = separation_checks(g, part, state, budgets)
         result.separation = sep
         if not sep.passed:
-            return fail("separation", "separation", f"ordering violated: {sep.worst().line()}")
+            return result.failed("separation", "separation", f"ordering violated: {sep.worst().line()}")
 
-        with _timed(clock, "verify"):
+        with _timed(result.timings, "verify"):
             ver = finalize_and_check(g, state, budgets)
         result.verification = ver
         if not ver.irregular:
             w = ver.witness
-            return fail(
+            return result.failed(
                 "verification",
                 "verification",
                 f"weighted degrees collide at pair ({w[0]},{w[1]})",
             )
         if not ver.bound_ok:
-            return fail(
+            return result.failed(
                 "verification",
                 "bound",
                 f"max label {ver.max_label} exceeds the cap {budgets.label_cap()}",
             )
     except StageFailure as exc:
-        return fail(exc.stage, exc.kind, exc.message)
+        return result.failed(exc.stage, exc.kind, exc.message)
     except ParameterError as exc:
-        return fail("stage", "parameter", str(exc))
+        return result.failed("stage", "parameter", str(exc))
 
     result.success = True
-    result.timings = clock
     return result
 
 

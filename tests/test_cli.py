@@ -363,6 +363,37 @@ class TestOversizedParameters:
         assert "failure.stage=entry\nfailure.kind=parameter\n" in out
         assert "overflows a float" in out
 
+    def test_weight_refuses_entry_parameters_before_pairing(self, capsys, monkeypatch):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("pairing started")
+
+        monkeypatch.setattr(graphs, "_first_pairing", no_pairing)
+        rc = main(["weight", "--n", "5000", "--d", "1242", "--b", "400", "--eps", "0.05",
+                   "--mode", "empirical", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert out.startswith("n=5000\nd=1242\n")
+        assert "failure.stage=entry\nfailure.kind=parameter\n" in out
+        assert "overflows a float" in out
+
+    @pytest.mark.parametrize(
+        "n, d, message",
+        [
+            ("7", "3", "n*d must be even, got n=7, d=3"),
+            ("50", "50", "degree must satisfy 0 <= d < n, got d=50, n=50"),
+        ],
+        ids=["odd-stub-count", "degree-not-below-n"],
+    )
+    def test_weight_keeps_the_generator_refusal(self, n, d, message, capsys, monkeypatch):
+        # the entry checks would refuse these too, with another message
+        monkeypatch.setattr(graphs, "_first_pairing", None)
+        rc = main(["weight", "--n", n, "--d", d, "--b", "400", "--eps", "0.05",
+                   "--mode", "empirical", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n", ["10000000000000000000", "3000000000"])
     def test_gen_beyond_32_bit_ids_exits_3_before_pairing(self, n, tmp_path, capsys, monkeypatch):
         def no_pairing(*args, **kwargs):

@@ -15,7 +15,7 @@ from irrstrength import (
     separation_checks,
     weighted_degrees,
 )
-from irrstrength.distinguish import pair_low
+from irrstrength.distinguish import _endgame_edge_candidates, _Pass, _settle_endgame_vertex, pair_low
 from irrstrength.labeling import Budgets
 from tests import distinguish_reference
 from tests.test_labeling import make_partition
@@ -230,6 +230,66 @@ class TestExhaustedInterval:
         assert state.weights[g.edge_between(5, 7)] == 3
         assert state.mod_count[g.edge_between(2, 7)] == 0
         assert state.sigma.tolist() == [12, 20, 8, 12, 20, 3, 2, 13]
+
+
+def hand_pass(g: Graph, part, state: WeightingState, strict: bool, m: int, anchors: dict[int, int]) -> _Pass:
+    """A pass over ``state`` whose analyzed vertices are the keys of
+    ``anchors``, each registered at the pair its value names."""
+    ps = _Pass(
+        g=g,
+        part=part,
+        state=state,
+        strict=strict,
+        m=m,
+        class_sizes=part.class_sizes(),
+        analyzed=np.zeros(g.n, dtype=bool),
+        anchor_low=np.zeros(g.n, dtype=np.int64),
+        class_lows=[set() for _ in range(7)],
+        holders={},
+    )
+    for v, low in anchors.items():
+        ps.register(v, low)
+    return ps
+
+
+class TestEndgameBranches:
+    """Endgame choices that the small random cases of TestMatchesReference
+    do not reach."""
+
+    def test_edge_candidates_break_ties_on_the_total_count(self):
+        # pairs 0, 1 and 2 (m=4) each have two holders, so residues 0, 1, 2
+        # count once; with sigma1=0, sigma0=1 every wv has a larger count of
+        # 1, and wv=2, 3 hit one residue in total where the others hit two
+        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        part = make_partition(g, [1] * 6)
+        state = tuned_state(g, part, {})
+        ps = hand_pass(g, part, state, False, 4, {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2})
+        assert _endgame_edge_candidates(ps, 0, 1) == [(1, 2), (1, 3), (1, 0), (1, 1), (1, 4)]
+
+    def build_boundary(self, strict: bool):
+        # control vertex 0 has analyzed neighbors 1 (sigma 100, the low end
+        # of its pair, so a plus edge) and 2 (sigma 202, the high end of
+        # pair 200, a minus edge); at sigma 40 and m=2 its candidates are
+        # k=-1 (38), k=0 (40) and k=1 (42), none taken or forbidden
+        g = Graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5)])
+        part = make_partition(g, [1, 1, 1, 0, 0, 0])
+        state = tuned_state(g, part, {(0, 1): 10, (0, 2): 10, (1, 3): 90, (2, 4): 192, (0, 5): 20})
+        assert state.sigma[:3].tolist() == [40, 100, 202]
+        return g, state, hand_pass(g, part, state, strict, 2, {1: 100, 2: 200})
+
+    def test_boundary_candidate_taken_in_empirical_mode(self):
+        g, state, ps = self.build_boundary(strict=False)
+        assert _settle_endgame_vertex(ps, 0, set(), set()) == 36
+        assert state.sigma[:3].tolist() == [38, 100, 200]
+        assert state.weights[g.edge_between(0, 2)] == 8
+
+    def test_boundary_candidate_refused_in_strict_mode(self):
+        # k = -b_minus is not an interior progression point
+        g, state, ps = self.build_boundary(strict=True)
+        before = state.weights.copy()
+        assert _settle_endgame_vertex(ps, 0, set(), set()) == 40
+        assert state.sigma[:3].tolist() == [40, 100, 202]
+        assert np.array_equal(state.weights, before)
 
 
 class TestSeparationChecks:

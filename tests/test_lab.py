@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -129,6 +130,14 @@ class TestConditionFailureRates:
         a = condition_failure_rates(60, 4, p, trials=2, seed=13)
         c = condition_failure_rates(60, 4, p, trials=2, seed=13)
         assert a.to_csv() == c.to_csv()
+
+    def test_pinned_csv(self):
+        # conditions (5°) and (6°) read the heavy counts r_size, so this
+        # pins the heavy test together with the partition and x draws
+        p = PipelineParams(b=0.2, eps=0.05, mode="empirical")
+        text = condition_failure_rates(2000, 40, p, trials=5, seed=7).to_csv()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "466217216568a9a78705cce2e6b6d36caf150e4e88377cc8cc0f12794fb4edde"
 
     def test_trials_domain(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -25,7 +26,16 @@ from irrstrength import (
     write_weights_csv,
 )
 from irrstrength import labeling
-from irrstrength.labeling import Budgets, XAssignment, _ceil_log_term, check_x_conditions, sample_x, weight_rows
+from irrstrength.labeling import (
+    Budgets,
+    XAssignment,
+    _ceil_log_term,
+    check_x_conditions,
+    initial_sigma,
+    sample_x,
+    tuning_deltas,
+    weight_rows,
+)
 from irrstrength.partition import VertexPartition, sample_partition
 from tests import reader_reference
 from tests.test_graphs import assert_reads_like_reference, ids, row_texts, simple_graphs, text_files
@@ -445,6 +455,50 @@ class TestAssignOmegaPrime:
         assign_omega_prime(g, part, xa, budgets, state, empirical())
         with pytest.raises(ParameterError, match="stage"):
             assign_omega_prime(g, part, xa, budgets, state, empirical())
+
+
+def tuning_refusal(run) -> tuple | None:
+    """(stage, kind, message, witness) of the StageFailure ``run()`` raises, or None."""
+    try:
+        run()
+    except StageFailure as exc:
+        return exc.stage, exc.kind, exc.message, exc.witness
+    return None
+
+
+class TestTuningDeltas:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weighting_instances(),
+        st.integers(1, 20),
+        st.integers(1, 20),
+        st.integers(1, 30),
+        st.integers(-3, 12),
+    )
+    def test_refuses_exactly_when_assign_omega_prime_does(
+        self, instance, base, class_step, fine_cap, shift
+    ):
+        g, part, xa = instance
+        budgets = Budgets(
+            base=base, class_step=class_step, fine_cap=fine_cap, coarse_step=1,
+            target_base=0, delta_span=1,
+        )
+        state = initial_weighting(g, part, xa, budgets)
+        # targets placed so that the smallest increment is ``shift``: both
+        # outcomes are common, and increments below 0 and above the
+        # capacity both occur
+        start = state.sigma[xa.order] - np.arange(xa.order.size)
+        budgets = dataclasses.replace(budgets, target_base=int(start.max(initial=1)) - 1 + shift)
+        want = tuning_refusal(lambda: assign_omega_prime(g, part, xa, budgets, state, empirical()))
+        got = tuning_refusal(lambda: tuning_deltas(part, xa, budgets, initial_sigma(part, xa, budgets)))
+        assert got == want
+
+    def test_hand_oracle(self):
+        g, part, xa, budgets = tiny_instance()
+        # sigma on V0 is [36, 39, 29] and the order is [1, 2, 0]
+        targets, deltas = tuning_deltas(part, xa, budgets, initial_sigma(part, xa, budgets))
+        assert targets.tolist() == [41, 42, 43]
+        assert deltas.tolist() == [2, 13, 7]
 
 
 @st.composite

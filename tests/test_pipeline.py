@@ -12,6 +12,7 @@ from irrstrength import (
     run_pipeline,
     strict_degree_window,
 )
+from irrstrength import pipeline
 from irrstrength.pipeline import FAILURE_KINDS
 
 
@@ -112,6 +113,18 @@ class TestStageFailures:
         assert res.failure_kind == "delta_infeasible"
         assert [stage for stage, _ in res.timings] == ["partition", "x", "tuning"]
         assert all(seconds > 0 for _, seconds in res.timings)
+
+    def test_infeasible_tuning_builds_no_weights(self, monkeypatch):
+        def no_weights(*args, **kwargs):
+            raise AssertionError("initial weighting built")
+
+        monkeypatch.setattr(pipeline, "initial_weighting", no_weights)
+        g = generate_random_regular(2000, 40, seed=3)
+        res = run_pipeline(g, empirical(slack=1e6), seed=1)
+        assert res.failure_kind == "delta_infeasible"
+        assert res.failure_stage == "omega_prime"
+        assert [stage for stage, _ in res.timings] == ["partition", "x", "tuning"]
+        assert res.state is None
 
     def test_partition_exhaustion_surfaces(self):
         g = generate_random_regular(100, 10, seed=3)
