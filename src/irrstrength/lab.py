@@ -69,27 +69,21 @@ def binomial_tail_estimate(
     rng = np.random.default_rng(derive_seed(seed, "binomial-tail", n, repr(p)))
     hi = n * p + t
     lo = n * p - t
+    nbytes = (n + 7) // 8
+    chunk = max(1, _CHUNK_TARGET // (nbytes if p == 0.5 else n))
     above = 0
     below = 0
     done = 0
-    if p == 0.5:
-        nbytes = (n + 7) // 8
-        chunk = max(1, _CHUNK_TARGET // nbytes)
-        while done < trials:
-            take = min(chunk, trials - done)
+    while done < trials:
+        take = min(chunk, trials - done)
+        if p == 0.5:
             raw = rng.integers(0, 256, size=(take, nbytes), dtype=np.uint8)
             counts = np.unpackbits(raw, axis=1, count=n).sum(axis=1, dtype=np.int64)
-            above += int(np.count_nonzero(counts > hi))
-            below += int(np.count_nonzero(counts < lo))
-            done += take
-    else:
-        chunk = max(1, _CHUNK_TARGET // n)
-        while done < trials:
-            take = min(chunk, trials - done)
+        else:
             counts = (rng.random((take, n)) < p).sum(axis=1, dtype=np.int64)
-            above += int(np.count_nonzero(counts > hi))
-            below += int(np.count_nonzero(counts < lo))
-            done += take
+        above += int(np.count_nonzero(counts > hi))
+        below += int(np.count_nonzero(counts < lo))
+        done += take
     p_above = above / trials
     p_below = below / trials
     return TailEstimate(
@@ -143,8 +137,8 @@ def condition_failure_rates(
     """Fraction of independent trials violating each sampling condition.
 
     Each trial draws a fresh d-regular graph (unless one is supplied),
-    one partition, and one x assignment; no retry loops, this measures
-    the raw per-sample failure rate. Trial seeds never involve slack, so
+    one partition, and one x assignment, none when V0 is empty; no retry
+    loops, this measures the raw per-sample failure rate. Trial seeds never involve slack, so
     sweeping slack on a fixed seed reuses identical samples and the
     rates are exactly monotone in slack.
     """
@@ -159,8 +153,9 @@ def condition_failure_rates(
         )
         part = sample_partition(g, params, derive_seed(seed, "partition", trial))
         reports = [check_partition(g, part, params)]
-        xa = sample_x(g, part, derive_seed(seed, "x", trial))
-        reports.append(check_x_conditions(g, part, xa, params))
+        if part.n0:  # (3°)-(6°) quantify over V0, so an empty V0 meets them
+            xa = sample_x(g, part, derive_seed(seed, "x", trial))
+            reports.append(check_x_conditions(g, part, xa, params))
         for rep in reports:
             for check in rep.checks:
                 if not check.passed:

@@ -123,10 +123,6 @@ def compute_budgets(n: int, d: int, b: float, eps: float) -> Budgets:
     delta_span = term("delta_span", 1, 2 * b + 2 * eps) - 2 * term(
         "delta_span", 1, 3 * b + 5 * eps
     )
-    seen: list[str] = []
-    for name in flags:
-        if name not in seen:
-            seen.append(name)
     return Budgets(
         base=base,
         class_step=class_step,
@@ -134,7 +130,7 @@ def compute_budgets(n: int, d: int, b: float, eps: float) -> Budgets:
         coarse_step=coarse_step,
         target_base=target_base,
         delta_span=delta_span,
-        near_integer_fields=tuple(seen),
+        near_integer_fields=tuple(dict.fromkeys(flags)),
     )
 
 

@@ -147,25 +147,29 @@ def _strength_defined(g: Graph) -> None:
             )
 
 
-def _search_order(g: Graph) -> list[tuple[int, int, int]]:
+# one step of the search: (eid, a, b, a_done, b_done)
+_Step = tuple[int, int, int, bool, bool]
+
+
+def _search_order(g: Graph) -> list[_Step]:
     """Edges sorted by (min endpoint degree, id): low-degree vertices
-    complete early, so the collision prune fires as soon as possible."""
-    degs = g.degrees
-    keyed = sorted(
-        range(g.num_edges),
-        key=lambda eid: (int(min(degs[g.edges[eid, 0]], degs[g.edges[eid, 1]])), eid),
-    )
-    return [(eid, int(g.edges[eid, 0]), int(g.edges[eid, 1])) for eid in keyed]
+    complete early, so the collision prune fires as soon as possible.
+    An endpoint is done at its last edge in the order, where its
+    weighted degree becomes final."""
+    keyed = np.argsort(g.degrees[g.edges].min(axis=1), kind="stable").tolist()
+    ends = g.edges[keyed].tolist()
+    last = {v: i for i, edge in enumerate(ends) for v in edge}
+    return [(keyed[i], a, b, last[a] == i, last[b] == i) for i, (a, b) in enumerate(ends)]
 
 
-def _feasible_with(g: Graph, k: int, order: list[tuple[int, int, int]]) -> tuple[np.ndarray | None, int]:
+def _feasible_with(g: Graph, k: int, order: list[_Step]) -> tuple[np.ndarray | None, int]:
     """Backtracking search for a k-weighting with all weighted degrees
-    distinct. Prunes as soon as a vertex with no unassigned incident
-    edges collides with another such vertex. An isolated vertex needs no
-    check: ``_strength_defined`` refuses two of them, and a lone one's
-    degree 0 is below every completed degree, as every label is >= 1."""
+    distinct. Prunes as soon as a done vertex collides with another done
+    vertex; ``taken`` holds the weighted degrees of the done vertices. An
+    isolated vertex needs no check: ``_strength_defined`` refuses two of
+    them, and a lone one's degree 0 is below every completed degree, as
+    every label is >= 1."""
     sigma = [0] * g.n
-    remaining = g.degrees.astype(np.int64).tolist()
     taken: set[int] = set()
     weights = [0] * g.num_edges
     nodes = 0
@@ -174,35 +178,29 @@ def _feasible_with(g: Graph, k: int, order: list[tuple[int, int, int]]) -> tuple
         nonlocal nodes
         if pos == len(order):
             return True
-        eid, a, b = order[pos]
-        remaining[a] -= 1
-        remaining[b] -= 1
-        a_done = remaining[a] == 0
-        b_done = remaining[b] == 0
+        eid, a, b, a_done, b_done = order[pos]
         for val in range(1, k + 1):
             nodes += 1
             sigma[a] += val
             sigma[b] += val
-            placed: list[int] = []
-            for end, done in ((a, a_done), (b, b_done)):
-                if done:
-                    if sigma[end] in taken:
-                        break
-                    taken.add(sigma[end])
-                    placed.append(sigma[end])
-            else:
+            sa, sb = sigma[a], sigma[b]
+            if not ((a_done and sa in taken) or (b_done and (sb in taken or (a_done and sa == sb)))):
+                if a_done:
+                    taken.add(sa)
+                if b_done:
+                    taken.add(sb)
                 weights[eid] = val
                 if dfs(pos + 1):
                     return True
-            taken.difference_update(placed)
+                if a_done:
+                    taken.discard(sa)
+                if b_done:
+                    taken.discard(sb)
             sigma[a] -= val
             sigma[b] -= val
-        remaining[a] += 1
-        remaining[b] += 1
         return False
 
-    found = dfs(0)
-    if not found:
+    if not dfs(0):
         return None, nodes
     return np.asarray(weights, dtype=np.int64), nodes
 

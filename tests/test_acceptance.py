@@ -118,16 +118,20 @@ def _extract(g: Graph, res) -> RunExtract:
             injective = False
             break
 
-    u_edge = (klass[g.edges[:, 0]] > 0) & (klass[g.edges[:, 1]] > 0)
+    # index gathers: boolean compresses of these edge arrays are slow
+    u_ids = np.flatnonzero((klass[g.edges[:, 0]] > 0) & (klass[g.edges[:, 1]] > 0))
     m = budgets.coarse_step
-    wu = state.weights[u_edge]
+    wu = state.weights.take(u_ids)
     inc_ok = bool(wu.size == 0 or ((wu >= 0).all() and (wu <= 3 * m).all()))
     diag = res.diagnostics
     agree = wu.size == 0 or (
         diag.min_increment == int(wu.min()) and diag.max_increment == int(wu.max())
     )
+    mod_u = state.mod_count.take(u_ids)
+    # every modified edge is a U edge when the U edges hold all nonzero counts
     mod_ok = bool(
-        (state.mod_count[u_edge] <= 2).all() and (state.mod_count[~u_edge] == 0).all()
+        (mod_u <= 2).all()
+        and np.count_nonzero(mod_u) == np.count_nonzero(state.mod_count)
     )
 
     sep = {c.cond: c.passed for c in res.separation.checks}
@@ -219,17 +223,22 @@ def test_a1_verifier_soundness():
             sub, _ = induced_subgraph(h, np.arange(1, n))
             corpus.append(sub)
     assert len(corpus) == 200
+    nodes = 0
     for g in corpus:
         res = exact_strength(g)
         assert res.strength is not None
         assert int(res.witness.max()) == res.strength
         assert is_irregular(g, res.witness).irregular
+        nodes += res.nodes_explored
+    # the search order and its prune fix the node count exactly
+    assert nodes == 17_669_391
 
 
 def test_a2_exact_oracle_vs_lower_bound():
     counts: dict[int, int] = {}
     ten_vertex: list[int] = []
     witnesses: list[list[int]] = []
+    nodes = 0
     for n in (4, 6, 8, 10):
         strengths = []
         for g in connected_cubic_graphs(n):
@@ -239,10 +248,12 @@ def test_a2_exact_oracle_vs_lower_bound():
             assert is_irregular(g, res.witness).irregular
             strengths.append(res.strength)
             witnesses.append(res.witness.tolist())
+            nodes += res.nodes_explored
         counts[n] = len(strengths)
         if n == 10:
             ten_vertex = strengths
     assert counts == {4: 1, 6: 2, 8: 5, 10: 19}
+    assert nodes == 11_280
     assert set(ten_vertex) == {5}
     # the witnesses of the plain search, which skipped no level
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()

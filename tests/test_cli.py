@@ -292,6 +292,17 @@ class TestExact:
         assert out.startswith("strength=2\n")
         assert out.endswith("u,v,weight\n0,1,1\n1,2,2\n")
 
+    def test_c7_stdout_pinned(self, tmp_path, capsys):
+        # the node count is part of stdout, so the search order is too
+        c7 = tmp_path / "c7.txt"
+        c7.write_text("".join(f"{i} {(i + 1) % 7}\n" for i in range(7)), encoding="ascii")
+        rc = main(["exact", "--graph", str(c7)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "strength=5\nnodes=23\nu,v,weight\n"
+            "0,1,1\n0,6,1\n1,2,2\n2,3,2\n3,4,3\n4,5,4\n5,6,5\n"
+        )
+
     def test_kmax_exceeded_has_no_witness_block(self, tmp_path, capsys):
         c5 = tmp_path / "c5.g6"
         c5.write_text("Dhc\n", encoding="ascii")
@@ -493,6 +504,16 @@ class TestLab:
         table = condition_failure_rates(60, 4, params, trials=2, seed=3)
         assert text == table.to_csv()
         assert out_path.read_text(encoding="utf-8") == text
+
+    def test_conditions_with_an_empty_v0_trial_exit_0(self, capsys):
+        # some of seed 0's partitions of G(12, 3) put every vertex in U;
+        # (3°)-(6°) quantify over V0, so those trials meet them
+        rc = main(["lab", "conditions", "--n", "12", "--d", "3", "--b", "0.2",
+                   "--eps", "0.05", "--trials", "20", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 7
 
     def test_conditions_zero_trials_exit_3(self, capsys):
         rc = main(["lab", "conditions", "--n", "60", "--d", "4", "--b", "1.0",

@@ -13,7 +13,7 @@ from irrstrength import (
     condition_failure_rates,
     generate_random_regular,
 )
-from irrstrength.lab import RateTable
+from irrstrength.lab import RateTable, TailEstimate
 
 
 def empirical(slack: float = 1.0) -> PipelineParams:
@@ -56,6 +56,17 @@ class TestBinomialTailEstimate:
         assert a == c
         d = binomial_tail_estimate(100, 0.5, 10.0, trials=2000, seed=8)
         assert a != d
+
+    def test_pinned_streams(self):
+        # both draw paths, held to their values rather than to themselves
+        assert binomial_tail_estimate(100, 0.5, 10.0, trials=2000, seed=7) == TailEstimate(
+            p_above=0.014, p_below=0.019,
+            se_above=0.002627165773224065, se_below=0.003052785613173647, trials=2000,
+        )
+        assert binomial_tail_estimate(60, 0.3, 6.0, trials=4000, seed=5) == TailEstimate(
+            p_above=0.03975, p_below=0.0295,
+            se_above=0.0030890911891687496, se_below=0.002675338763596117, trials=4000,
+        )
 
     def test_boundary_t_equals_np(self):
         # above means strictly more than 2np successes: impossible
