@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,18 +110,6 @@ class Graph:
             return int(self.edge_ids[pos])
         return None
 
-    def edges_between(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Edge ids joining us[i] and vs[i], -1 where there is no edge;
-        the int64 edge keys live only for the call."""
-        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-        # edge keys are positive, so -1 marks a pair that is no edge, and
-        # the sentinel above them all gives every query a valid position
-        query = np.where((lo >= 0) & (hi < self.n) & (lo != hi), lo * self.n + hi, -1)
-        keys = np.append(self.edges[:, 0].astype(np.int64) * self.n + self.edges[:, 1], np.iinfo(np.int64).max)
-        pos = np.searchsorted(keys, query)
-        return np.where(keys[pos] == query, pos, -1)
-
     def regular_degree(self) -> int:
         """The common degree if the graph is regular, else raise."""
         if self.n == 0:
@@ -133,6 +121,26 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def edge_lookup(g: Graph) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The bulk form of ``g.edge_between``: a function from endpoint
+    arrays ``us, vs`` to the ids of the edges joining ``us[i]`` and
+    ``vs[i]``, -1 where there is no edge. The int64 edge keys are built
+    once here and shared by every call."""
+    n = g.n
+    # edge keys are positive, so -1 marks a pair that is no edge, and the
+    # sentinel above them all gives every query a valid position
+    keys = np.append(g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1], np.iinfo(np.int64).max)
+
+    def lookup(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        query = np.where((lo >= 0) & (hi < n) & (lo != hi), lo * n + hi, -1)
+        pos = np.searchsorted(keys, query)
+        return np.where(keys[pos] == query, pos, -1)
+
+    return lookup
 
 
 def edge_weights(g: Graph, weights: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graphs import Graph, generate_random_regular
+from .graphs import generate_random_regular
 from .labeling import check_x_conditions, sample_x
 from .partition import PipelineParams, check_partition, sample_partition
 from .seeds import derive_seed
@@ -132,13 +132,12 @@ def condition_failure_rates(
     params: PipelineParams,
     trials: int,
     seed: int,
-    graph: Graph | None = None,
 ) -> RateTable:
     """Fraction of independent trials violating each sampling condition.
 
-    Each trial draws a fresh d-regular graph (unless one is supplied),
-    one partition, and one x assignment, none when V0 is empty; no retry
-    loops, this measures the raw per-sample failure rate. Trial seeds never involve slack, so
+    Each trial draws a fresh d-regular graph, one partition, and one x
+    assignment, none when V0 is empty; no retry loops, this measures the
+    raw per-sample failure rate. Trial seeds never involve slack, so
     sweeping slack on a fixed seed reuses identical samples and the
     rates are exactly monotone in slack.
     """
@@ -148,9 +147,7 @@ def condition_failure_rates(
     viol_count = {c: 0 for c in conds}
     viol_mag = {c: 0.0 for c in conds}
     for trial in range(trials):
-        g = graph if graph is not None else generate_random_regular(
-            n, d, derive_seed(seed, "graph", trial)
-        )
+        g = generate_random_regular(n, d, derive_seed(seed, "graph", trial))
         part = sample_partition(g, params, derive_seed(seed, "partition", trial))
         reports = [check_partition(g, part, params)]
         if part.n0:  # (3°)-(6°) quantify over V0, so an empty V0 meets them

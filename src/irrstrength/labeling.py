@@ -10,7 +10,6 @@ of a log expression goes through a guarded helper.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -19,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, _read_lines, edge_weights, format_rows, require_int64_sums, weighted_degrees
+from .graphs import Graph, _read_lines, edge_lookup, edge_weights, format_rows, require_int64_sums, weighted_degrees
 from .partition import PipelineParams, VertexPartition, log_power
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -439,23 +438,15 @@ def write_weights_csv(
 def read_weights_csv(path: str, g: Graph) -> np.ndarray:
     """Load a weight vector aligned with g's edge ids.
 
-    Lines are parsed until the first one that is faulty on its own; the
-    rows before it are then resolved to edge ids in one lookup, so a
-    missing or repeated edge on an earlier line is reported first."""
-    n = g.n
-    buf = array("q")  # u, v, weight per row
-    runs = array("q")  # first row and its line number, per run of rows on consecutive lines
-    fault = None
-    try:
-        for lineno, line in _read_lines(path, b",", 3, signed=True):
-            if isinstance(line, np.ndarray):
-                # an id outside 0..n-1 needs no check here: the lookup below
-                # reports its row with the same message, and no later line
-                # can be reported before it
-                runs.extend((len(buf) // 3, lineno))
-                buf.frombytes(line.tobytes())
-                continue
-            text = line.strip()
+    Each run of rows is resolved to edge ids as soon as it is read, so
+    the first faulty line is the one reported: one that does not parse,
+    names no edge, or repeats an edge."""
+    n, lookup = g.n, edge_lookup(g)
+    weights = np.empty(g.num_edges, dtype=np.int64)
+    given = np.zeros(g.num_edges + 1, dtype=bool)  # given[-1], read for a non-edge, stays False
+    for lineno, rows in _read_lines(path, b",", 3, signed=True):
+        if not isinstance(rows, np.ndarray):
+            text = rows.strip()
             if not text or text.startswith("#") or text == "u,v,weight":
                 continue
             parts = text.split(",")
@@ -469,29 +460,20 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
                 raise InputFormatError(f"line {lineno}: weight {wt} outside the 64-bit integer range")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
-            runs.extend((len(buf) // 3, lineno))
-            buf.extend((u, v, wt))
-    except InputFormatError as exc:
-        fault = exc
-    rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, 3)
-    eids = g.edges_between(rows[:, 0], rows[:, 1])
-    first_use = np.zeros(eids.size, dtype=bool)
-    first_use[np.unique(eids, return_index=True)[1]] = True
-    bad = np.flatnonzero((eids < 0) | ~first_use)
-    if bad.size:
-        row = int(bad[0])
-        u, v, _ = rows[row].tolist()
-        starts = np.frombuffer(runs, dtype=np.int64).reshape(-1, 2)
-        first_row, first_line = starts[np.searchsorted(starts[:, 0], row, side="right") - 1].tolist()
-        lineno = first_line + row - first_row
-        if eids[row] < 0:
-            raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
-        raise InputFormatError(f"line {lineno}: duplicate weight for edge ({u},{v})")
-    if fault is not None:
-        raise fault
-    if eids.size < g.num_edges:
-        u, v = g.edges[np.setdiff1d(np.arange(g.num_edges), eids)[0]]
+            rows = np.array([[u, v, wt]], dtype=np.int64)
+        eids = lookup(rows[:, 0], rows[:, 1])
+        repeat = np.ones(eids.size, dtype=bool)
+        repeat[np.unique(eids, return_index=True)[1]] = False
+        bad = np.flatnonzero((eids < 0) | given[eids] | repeat)
+        if bad.size:
+            row = int(bad[0])
+            u, v, _ = rows[row].tolist()
+            if eids[row] < 0:
+                raise InputFormatError(f"line {lineno + row}: edge ({u},{v}) not in graph")
+            raise InputFormatError(f"line {lineno + row}: duplicate weight for edge ({u},{v})")
+        given[eids] = True
+        weights[eids] = rows[:, 2]
+    if not given[:-1].all():
+        u, v = g.edges[np.argmin(given[:-1])]
         raise InputFormatError(f"no weight given for edge ({u},{v})")
-    weights = np.empty(g.num_edges, dtype=np.int64)
-    weights[eids] = rows[:, 2]
     return weights

@@ -4,17 +4,19 @@ Enumeration walks vertices in label order, completing each vertex's
 degree to 3 with neighbors of larger label. Keeping only labelings in
 which every positive vertex already has a smaller neighbor (true of any
 BFS labeling) and vertex 0's neighbors are exactly {1,2,3} guarantees
-each connected cubic isomorphism class shows up. The first labeling of
-each characteristic polynomial is kept: graphs with distinct polynomials
+each connected cubic isomorphism class shows up. Each labeling is keyed
+by its spectral moments tr(A^k), k = 2..n, computed exactly in int64; by
+Newton's identities they fix the characteristic polynomial and are fixed
+by it. The first labeling of each key is kept: graphs with distinct keys
 are never isomorphic, so the kept graphs are pairwise non-isomorphic, and
 when their number equals the known count of classes (1, 2, 5 and 19 for
 n = 4, 6, 8, 10) every class is present exactly once. Two classes sharing
-a polynomial would lower that number, so a collision fails loudly.
+a key would lower that number, so a collision fails loudly.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -63,19 +65,23 @@ def _enumerate_labeled(n: int) -> list[frozenset[tuple[int, int]]]:
     return out
 
 
-def _spectral_key(edges: frozenset[tuple[int, int]], n: int) -> tuple[int, ...]:
-    a = np.zeros((n, n))
-    for u, v in edges:
-        a[u, v] = a[v, u] = 1.0
-    coeffs = np.poly(a)
-    return tuple(int(round(c)) for c in coeffs)
-
-
 def connected_cubic_graphs(n: int) -> list[Graph]:
-    """One connected cubic graph on n vertices per characteristic
-    polynomial, in enumeration order (see the module note for why that is
-    one per isomorphism class)."""
-    reps: dict[tuple[int, ...], frozenset[tuple[int, int]]] = {}
-    for edges in _enumerate_labeled(n):
-        reps.setdefault(_spectral_key(edges, n), edges)
-    return [Graph(n, sorted(e)) for e in reps.values()]
+    """One connected cubic graph on n vertices per spectral key, in
+    enumeration order (see the module note for why that is one per
+    isomorphism class)."""
+    labeled = _enumerate_labeled(n)
+    if not labeled:
+        return []
+    flat = chain.from_iterable(chain.from_iterable(labeled))
+    ends = np.fromiter(flat, dtype=np.int64).reshape(len(labeled), -1, 2)  # (labeling, edge, endpoint)
+    which = np.arange(len(labeled))[:, None]
+    adj = np.zeros((len(labeled), n, n), dtype=np.int64)
+    adj[which, ends[..., 0], ends[..., 1]] = 1
+    adj[which, ends[..., 1], ends[..., 0]] = 1
+    moments = np.empty((len(labeled), n - 1), dtype=np.int64)  # column k: tr(A^(k+2))
+    power = adj
+    for k in range(n - 1):
+        power = power @ adj
+        moments[:, k] = np.trace(power, axis1=1, axis2=2)
+    first = np.sort(np.unique(moments, axis=0, return_index=True)[1])
+    return [Graph(n, sorted(labeled[i])) for i in first.tolist()]

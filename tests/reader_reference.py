@@ -1,5 +1,6 @@
 """The edge-list and weight-CSV readers as they stood before the bulk
-parse, kept verbatim as the reference that the readers must reproduce: the
+parse, kept verbatim but for the bulk edge lookup that the weight reader
+calls, as the reference that the readers must reproduce: the
 same graph or weights for every file, and the same message for every
 fault. They read in text mode, so a non-ASCII byte makes them raise
 UnicodeDecodeError, which the readers now report as a fault of its line."""
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from irrstrength.errors import InputFormatError, ParameterError
-from irrstrength.graphs import Graph
+from irrstrength.graphs import Graph, edge_lookup
 
 _HEADER_RE = re.compile(r"#\s*(\d+)\s+(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -90,7 +91,7 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
     except InputFormatError as exc:
         fault = exc
     rows = np.frombuffer(buf, dtype=np.int64).reshape(-1, 4)
-    eids = g.edges_between(rows[:, 0], rows[:, 1])
+    eids = edge_lookup(g)(rows[:, 0], rows[:, 1])
     first_use = np.zeros(eids.size, dtype=bool)
     first_use[np.unique(eids, return_index=True)[1]] = True
     bad = np.flatnonzero((eids < 0) | ~first_use)

@@ -116,7 +116,7 @@ class TestGraphBasics:
         # used to alias
         g = Graph(5, [(0, 1)])
         assert g.edge_between(-1, 6) is None
-        assert g.edges_between(np.array([-1, 0]), np.array([6, 1])).tolist() == [-1, 0]
+        assert graphs.edge_lookup(g)(np.array([-1, 0]), np.array([6, 1])).tolist() == [-1, 0]
 
     def test_rejects_fractional_endpoints(self):
         with pytest.raises(ParameterError, match="integers"):
@@ -706,7 +706,7 @@ class TestProperties:
         want = [eid_of.get(p, -1) for p in pairs]
         assert [g.edge_between(a, b) for a, b in pairs] == [None if w < 0 else w for w in want]
         us, vs = np.array(pairs).T
-        assert g.edges_between(us, vs).tolist() == want
+        assert graphs.edge_lookup(g)(us, vs).tolist() == want
 
         if n:
             v = data.draw(st.integers(0, n - 1))

@@ -11,7 +11,6 @@ from irrstrength import (
     binomial_tail_estimate,
     chernoff_bounds,
     condition_failure_rates,
-    generate_random_regular,
 )
 from irrstrength.lab import RateTable, TailEstimate
 
@@ -108,8 +107,7 @@ class TestBinomialTailEstimate:
 
 class TestConditionFailureRates:
     def test_csv_shape_and_order(self):
-        g = generate_random_regular(150, 6, seed=2)
-        table = condition_failure_rates(150, 6, empirical(), trials=3, seed=4, graph=g)
+        table = condition_failure_rates(150, 6, empirical(), trials=3, seed=4)
         lines = table.to_csv().strip().split("\n")
         assert lines[0] == RateTable.CSV_HEADER
         assert lines[0].count(",") == 9  # ten columns
@@ -119,17 +117,15 @@ class TestConditionFailureRates:
             assert ln.split(",")[1] == "150" and ln.split(",")[2] == "6"
 
     def test_huge_slack_never_fails(self):
-        g = generate_random_regular(150, 6, seed=2)
-        table = condition_failure_rates(150, 6, empirical(slack=1e9), trials=4, seed=4, graph=g)
+        table = condition_failure_rates(150, 6, empirical(slack=1e9), trials=4, seed=4)
         assert all(r.rate == 0.0 for r in table.rows)
         assert all(r.mean_violation == 0.0 for r in table.rows)
 
     def test_rates_exactly_monotone_in_slack(self):
         # trial seeds do not involve slack, so each trial reuses the
         # identical sample and rates can only fall as slack grows
-        g = generate_random_regular(150, 6, seed=2)
         tables = [
-            condition_failure_rates(150, 6, empirical(slack=s), trials=6, seed=11, graph=g)
+            condition_failure_rates(150, 6, empirical(slack=s), trials=6, seed=11)
             for s in (1.0, 1.5, 2.0)
         ]
         for i in range(6):

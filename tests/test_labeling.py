@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -606,3 +607,20 @@ class TestWeightsCsv:
         path.write_text("u,v,weight\n-1,6,7\n")
         with pytest.raises(InputFormatError, match=r"^line 2: edge \(-1,6\) not in graph$"):
             read_weights_csv(str(path), g)
+
+    def test_read_peak_memory_per_edge(self, tmp_path):
+        # the reader holds the weights, one flag and one int64 key per
+        # edge (17 bytes) and the rows of one block; a buffer of every
+        # row alone would add 24 bytes per edge
+        g = Graph(1000, np.column_stack(np.triu_indices(1000, 1)))
+        state = SimpleNamespace(stage="final", weights=np.arange(g.num_edges) - 7)
+        path = str(tmp_path / "w.csv")
+        write_weights_csv(g, state, path, 1000, 999, 1.0, 0.5, 0)
+        tracemalloc.start()
+        try:
+            back = read_weights_csv(path, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, state.weights)
+        assert peak / g.num_edges < 32
