@@ -178,9 +178,8 @@ def _cmd_lab_chernoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_lab_conditions(args: argparse.Namespace) -> int:
-    params = PipelineParams(
-        b=args.b, eps=args.eps, slack=args.slack, mode=args.mode
-    )
+    # no check the lab makes reads the mode; empirical admits any slack >= 1
+    params = PipelineParams(b=args.b, eps=args.eps, slack=args.slack, mode=MODE_EMPIRICAL)
     table = condition_failure_rates(
         args.n, args.d, params, trials=args.trials, seed=args.seed
     )
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lf.add_argument("--b", type=float, required=True)
     p_lf.add_argument("--eps", type=float, required=True)
     p_lf.add_argument("--slack", type=float, default=1.0)
-    p_lf.add_argument("--mode", choices=[MODE_STRICT, MODE_EMPIRICAL], default=MODE_EMPIRICAL)
     p_lf.add_argument("--trials", type=int, default=100)
     p_lf.add_argument("--seed", type=int, default=None)
     p_lf.add_argument("--out", default=None)

@@ -98,32 +98,30 @@ def binomial_tail_estimate(
 @dataclass(frozen=True)
 class RateRow:
     condition: str
+    rate: float
+    stderr: float
+    mean_violation: float
+
+
+@dataclass(frozen=True)
+class RateTable:
+    """Per-condition rates of one run; the run's constants are held once
+    and repeated on every CSV row."""
+
     n: int
     d: int
     b: float
     eps: float
     slack: float
     trials: int
-    rate: float
-    stderr: float
-    mean_violation: float
-
-    def csv_line(self) -> str:
-        return (
-            f"{self.condition},{self.n},{self.d},{self.b!r},{self.eps!r},"
-            f"{self.slack!r},{self.trials},{self.rate!r},{self.stderr!r},"
-            f"{self.mean_violation!r}"
-        )
-
-
-@dataclass(frozen=True)
-class RateTable:
     rows: list[RateRow]
 
     CSV_HEADER = "condition,n,d,b,eps,slack,trials,rate,stderr,mean_violation"
 
     def to_csv(self) -> str:
-        return "\n".join([self.CSV_HEADER] + [r.csv_line() for r in self.rows]) + "\n"
+        run = f"{self.n},{self.d},{self.b!r},{self.eps!r},{self.slack!r},{self.trials}"
+        lines = [f"{r.condition},{run},{r.rate!r},{r.stderr!r},{r.mean_violation!r}" for r in self.rows]
+        return "\n".join([self.CSV_HEADER] + lines) + "\n"
 
 
 def condition_failure_rates(
@@ -136,44 +134,28 @@ def condition_failure_rates(
     """Fraction of independent trials violating each sampling condition.
 
     Each trial draws a fresh d-regular graph, one partition, and one x
-    assignment, none when V0 is empty; no retry loops, this measures the
-    raw per-sample failure rate. Trial seeds never involve slack, so
-    sweeping slack on a fixed seed reuses identical samples and the
-    rates are exactly monotone in slack.
+    assignment; no retry loops, this measures the raw per-sample failure
+    rate. Rows follow the order of the stages' checks. Trial seeds never
+    involve slack, so sweeping slack on a fixed seed reuses identical
+    samples and the rates are exactly monotone in slack.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    conds = ["(1°)", "(2°)", "(3°)", "(4°)", "(5°)", "(6°)"]
-    viol_count = {c: 0 for c in conds}
-    viol_mag = {c: 0.0 for c in conds}
+    # condition -> [violating trials, summed excess over the bound]
+    tallies: dict[str, list] = {}
     for trial in range(trials):
         g = generate_random_regular(n, d, derive_seed(seed, "graph", trial))
         part = sample_partition(g, params, derive_seed(seed, "partition", trial))
-        reports = [check_partition(g, part, params)]
-        if part.n0:  # (3°)-(6°) quantify over V0, so an empty V0 meets them
-            xa = sample_x(g, part, derive_seed(seed, "x", trial))
-            reports.append(check_x_conditions(g, part, xa, params))
-        for rep in reports:
-            for check in rep.checks:
-                if not check.passed:
-                    viol_count[check.cond] += 1
-                    viol_mag[check.cond] += max(0.0, check.measured - check.bound)
+        xa = sample_x(g, part, derive_seed(seed, "x", trial))
+        for check in check_partition(g, part, params).checks + check_x_conditions(g, part, xa, params).checks:
+            tally = tallies.setdefault(check.cond, [0, 0.0])
+            if not check.passed:
+                tally[0] += 1
+                tally[1] += max(0.0, check.measured - check.bound)
     rows = []
-    for c in conds:
-        rate = viol_count[c] / trials
-        mean_v = viol_mag[c] / viol_count[c] if viol_count[c] else 0.0
-        rows.append(
-            RateRow(
-                condition=c,
-                n=n,
-                d=d,
-                b=params.b,
-                eps=params.eps,
-                slack=params.slack,
-                trials=trials,
-                rate=rate,
-                stderr=_stderr(rate, trials),
-                mean_violation=mean_v,
-            )
-        )
-    return RateTable(rows=rows)
+    for cond, (fails, excess) in tallies.items():
+        rate = fails / trials
+        rows.append(RateRow(cond, rate, _stderr(rate, trials), excess / fails if fails else 0.0))
+    return RateTable(
+        n=n, d=d, b=params.b, eps=params.eps, slack=params.slack, trials=trials, rows=rows
+    )

@@ -157,8 +157,6 @@ class XAssignment:
 
 def sample_x(g: Graph, part: VertexPartition, seed: int) -> XAssignment:
     v0 = part.v0_vertices()
-    if v0.size == 0:
-        raise ParameterError("V0 is empty; nothing to order")
     rng = np.random.default_rng(seed)
     draws = rng.random(v0.size)
     x = np.full(g.n, np.nan)
@@ -295,7 +293,8 @@ class FeasibilityReport:
     sandwich_rate is the fraction of the sorted V0 vertices whose needed
     increment lands in [1, delta_span], the window the asymptotic analysis
     predicts; separation_ok compares the largest V0 weighted degree
-    against the smallest one on U.
+    against the smallest one on U, and holds vacuously when either side
+    is empty.
     """
 
     sandwich_rate: float
@@ -386,7 +385,7 @@ def assign_omega_prime(
     u_verts = part.u_vertices()
     max_v0 = int(targets[-1]) if n0 else 0
     min_u = int(state.sigma[u_verts].min()) if u_verts.size else 0
-    separation_ok = bool(u_verts.size == 0 or max_v0 < min_u)
+    separation_ok = bool(n0 == 0 or u_verts.size == 0 or max_v0 < min_u)
     span = budgets.delta_span
     sandwich = float(np.count_nonzero((deltas >= 1) & (deltas <= span)) / max(n0, 1))
     report = FeasibilityReport(

@@ -178,6 +178,17 @@ class TestWeight:
         assert first == second
         assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
 
+    def test_empty_v0_draw_is_no_parameter_error(self, capsys):
+        # seed 0 puts all four vertices in U: (3°)-(6°) hold vacuously and
+        # tuning has no targets, so the run goes on past the x stage
+        rc = main(["weight", "--n", "4", "--d", "1", "--b", "0.01", "--eps", "0.85",
+                   "--mode", "empirical", "--slack", "1e6", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc in (0, 2)
+        assert "failure.stage=stage" not in out
+        assert "x.attempts=1\n" in out
+        assert "tuning.separation_ok=true\n" in out
+
     def test_timings_go_to_stderr_only(self, capsys):
         argv = ["weight", "--n", "2000", "--d", "40", "--preset", "headline",
                 "--mode", "empirical", "--slack", "1e6", "--seed", "1"]

@@ -207,6 +207,14 @@ class TestGraph6Codec:
         with pytest.raises(InputFormatError, match="outside printable range"):
             read_graph6("Dh\u00e9")
 
+    def test_eight_byte_size_field(self):
+        # n = 258048 = 63 * 64**2 is the least n that needs "~~" and six
+        # size bytes; the body check comes before any bit is unpacked
+        n = 258048
+        expect = -(-(n * (n - 1) // 2) // 6)
+        with pytest.raises(InputFormatError, match=rf"^graph6 body has 2 groups, expected {expect}$"):
+            read_graph6("~~???~??" + "??")
+
     def test_reference_agreement(self):
         nx = pytest.importorskip("networkx")
         for n, d, seed in [(10, 3, 7), (17, 4, 8), (64, 3, 9)]:

@@ -197,11 +197,19 @@ class TestSampleX:
         c = sample_x(g, part, seed=3)
         assert np.array_equal(a.order, c.order)
 
-    def test_empty_v0_rejected(self, setup):
-        g, part, _ = setup
+    def test_empty_v0_gives_the_empty_assignment(self, setup):
+        # an all-U partition is a legal draw, and (3°)-(6°) quantify over
+        # V0, so they hold vacuously on it
+        g, _, _ = setup
         allu = make_partition(g, [1] * g.n)
-        with pytest.raises(ParameterError):
-            sample_x(g, allu, seed=0)
+        xa = sample_x(g, allu, seed=0)
+        assert xa.order.size == 0 and xa.heavy.size == 0
+        assert np.all(np.isnan(xa.x))
+        assert np.all(xa.rank == -1) and not np.any(xa.r_size)
+        rep = check_x_conditions(g, allu, xa, empirical())
+        assert [c.cond for c in rep.checks] == ["(3°)", "(4°)", "(5°)", "(6°)"]
+        assert rep.passed
+        assert all(c.measured == c.bound == 0.0 for c in rep.checks)
 
 
 class TestCheckXConditions:
@@ -431,6 +439,18 @@ class TestAssignOmegaPrime:
         assert exc.value.kind == "separation"
         # the increments were applied before the separation verdict
         assert state.stage == "tuned"
+
+    def test_empty_v0_separates_vacuously(self):
+        # every U degree is 0 here, as is the reported V0 maximum, yet an
+        # empty V0 has nothing to hold below U, so strict mode accepts it
+        g, _, _, budgets = tiny_instance()
+        part = make_partition(g, [1] * g.n)
+        xa = sample_x(g, part, seed=0)
+        state = initial_weighting(g, part, xa, budgets)
+        rep = assign_omega_prime(g, part, xa, budgets, state, PipelineParams(b=1.0, eps=1 / 12))
+        assert (rep.max_v0_sigma, rep.min_u_sigma) == (0, 0)
+        assert rep.separation_ok is True
+        assert state.stage == "tuned" and state.v0_sigma_at_tuned.size == 0
 
     def test_infeasible_is_all_or_nothing(self):
         g, part, xa, _ = tiny_instance()

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from irrstrength import (
     Graph,
@@ -11,9 +14,12 @@ from irrstrength import (
     generate_random_regular,
     run_pipeline,
     strict_degree_window,
+    weighted_degrees,
 )
 from irrstrength import pipeline
+from irrstrength.labeling import STAGE_FINAL
 from irrstrength.pipeline import FAILURE_KINDS
+from tests.test_partition import regular_graphs
 
 
 def empirical(slack: float = 1.0, retries: int = 100) -> PipelineParams:
@@ -195,3 +201,89 @@ class TestFailureKindsRegistry:
             "verification",
             "bound",
         )
+
+
+# the timed stages in run order, and the timing that each failure stage ends on
+TIMED_STAGES = ("partition", "x", "tuning", "distinguish", "separation", "verify")
+FAILURE_TIMING = {
+    "entry": None,
+    "partition": "partition",
+    "x": "x",
+    "omega_prime": "tuning",
+    "distinguish": "distinguish",
+    "separation": "separation",
+    "verification": "verify",
+}
+# at this point a 4-vertex matching falls wholly into U for about one
+# pipeline seed in three, and about half of the runs pass tuning
+EMPTY_V0_POINT = (0.01, 0.85)
+
+
+@st.composite
+def pipeline_inputs(draw):
+    if draw(st.booleans()):
+        g = generate_random_regular(4, 1, seed=draw(st.integers(0, 2**32)))
+        b, eps = EMPTY_V0_POINT
+    else:
+        g = draw(regular_graphs())
+        b, eps = draw(st.sampled_from([(1.0, 1 / 12), (0.1, 0.5), (0.01, 0.5), (0.01, 0.85)]))
+    # strict runs at these sizes stop at the degree window, so draw fewer
+    if draw(st.integers(0, 3)) == 0:
+        params = PipelineParams(b=b, eps=eps)
+    else:
+        slack = draw(st.one_of(st.just(1e6), st.floats(1.0, 1e6)))
+        params = PipelineParams(b=b, eps=eps, slack=slack, mode="empirical")
+    return g, params, draw(st.integers(0, 2**32))
+
+
+class TestRunContract:
+    """What every run_pipeline result promises, whichever stage it ends in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pipeline_inputs())
+    # two runs that reach separation with a nonempty V0, the second with
+    # modified U-edges; random draws rarely get that far at these sizes
+    @example((Graph(4, [(0, 2), (1, 3)]), PipelineParams(*EMPTY_V0_POINT, 1e6, mode="empirical"), 38))
+    @example((generate_random_regular(12, 2, seed=1), PipelineParams(0.01, 0.5, 1e6, mode="empirical"), 36))
+    def test_contract(self, case):
+        g, params, seed = case
+        res = run_pipeline(g, params, seed)
+        assert res.to_text() == run_pipeline(g, params, seed).to_text()
+        event(f"ends at {res.failure_stage or 'success'}")
+        if res.partition is not None and res.partition.n0 == 0:
+            event("empty V0")
+
+        stages = [stage for stage, _ in res.timings]
+        if res.success:
+            assert res.failure_kind is None and stages == list(TIMED_STAGES)
+        else:
+            assert res.failure_kind in FAILURE_KINDS
+            # a parameter that passed the entry checks is refused by no stage
+            assert res.failure_stage in FAILURE_TIMING
+            last = FAILURE_TIMING[res.failure_stage]
+            assert stages == list(TIMED_STAGES[: TIMED_STAGES.index(last) + 1] if last else ())
+
+        untuned = res.failure_stage in ("entry", "partition", "x") or res.failure_kind == "delta_infeasible"
+        assert (res.state is None) == untuned
+        if res.state is None:
+            return
+        state, part = res.state, res.partition
+        assert np.array_equal(weighted_degrees(g, state.weights), state.sigma)
+        assert state.mod_count.max(initial=0) <= 2
+        # the V0 degrees at tuning are the consecutive targets, and stay so
+        # (separation (c)) up to the final shift by the degree
+        v0 = part.v0_vertices()
+        base = res.budgets.target_base
+        assert sorted(state.v0_sigma_at_tuned.tolist()) == list(range(base + 1, base + 1 + v0.size))
+        shift = 1 if state.stage == STAGE_FINAL else 0
+        assert np.array_equal(state.sigma[v0] - shift * res.d, state.v0_sigma_at_tuned)
+
+        dg = res.diagnostics
+        if dg is None:
+            return
+        u = part.u_vertices()
+        assert dg.u_injective == (np.unique(state.sigma[u]).size == u.size)
+        classes = [u[part.klass[u] == i] for i in range(1, 8)]
+        assert dg.per_class_injective == all(np.unique(state.sigma[c]).size == c.size for c in classes)
+        incr = state.weights[part.in_u[g.edges].all(axis=1)] - shift
+        assert (dg.min_increment, dg.max_increment) == ((incr.min(), incr.max()) if incr.size else (0, 0))

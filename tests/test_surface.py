@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import ast
 import re
+import shlex
 import sys
 from functools import reduce
 from pathlib import Path
 
 import irrstrength
+from irrstrength.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,9 +22,9 @@ def resolve(dotted: str) -> object:
     return reduce(getattr, dotted.split("."), irrstrength)
 
 
-def library_section() -> str:
+def readme_section(title: str) -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_all_is_sorted_without_duplicates():
@@ -47,7 +49,7 @@ def test_benchmark_names_resolve_on_the_package():
 
 
 def test_readme_library_names_are_exported():
-    section = library_section()
+    section = readme_section("Library")
     quoted = set(re.findall(r"`([A-Za-z_][\w.]*)`", section))
     for block in re.findall(r"from irrstrength import ([\w, ]+)", section):
         quoted.update(name.strip() for name in block.split(","))
@@ -58,6 +60,19 @@ def test_readme_library_names_are_exported():
         package, _, rest = dotted.partition(".")
         assert package == "irrstrength", dotted
         resolve(rest)
+
+
+def test_readme_cli_commands_parse():
+    # the first fenced block of the CLI section, with its backslash continuations joined
+    block = readme_section("CLI").split("```\n")[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("irrstrength ")]
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {shlex.join(argv)}") from None
 
 
 def test_runtime_imports_are_stdlib_numpy_or_mpmath():
