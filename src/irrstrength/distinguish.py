@@ -126,12 +126,14 @@ def _split_backward(
     element of its pair), minus edges may lose m. Edges in skip_eids are
     left out entirely.
     """
-    keep = ps.analyzed[nbrs]
+    keep = ps.analyzed.take(nbrs)
     for eid in skip_eids:
         keep &= eids != eid
-    nbrs, eids = nbrs[keep], eids[keep]
-    up = ps.state.sigma[nbrs] == ps.anchor_low[nbrs]
-    return (nbrs[up], eids[up]), (nbrs[~up], eids[~up])
+    pos = keep.nonzero()[0]
+    nbrs, eids = nbrs.take(pos), eids.take(pos)
+    up = ps.state.sigma.take(nbrs) == ps.anchor_low.take(nbrs)
+    up_pos, down_pos = up.nonzero()[0], (~up).nonzero()[0]
+    return (nbrs.take(up_pos), eids.take(up_pos)), (nbrs.take(down_pos), eids.take(down_pos))
 
 
 def _realize_coarse(
@@ -164,8 +166,8 @@ def _process_vertex(ps: _Pass, v: int) -> None:
     m = ps.m
     nbrs, eids = ps.part.u_edges(ps.g, v)
     plus, minus = _split_backward(ps, nbrs, eids)
-    fwd = ~ps.analyzed[nbrs]
-    fwd_nbrs, fwd_eids = nbrs[fwd], eids[fwd]
+    fwd = (~ps.analyzed.take(nbrs)).nonzero()[0]
+    fwd_nbrs, fwd_eids = nbrs.take(fwd), eids.take(fwd)
 
     b_plus, b_minus, f = plus[1].size, minus[1].size, int(fwd_nbrs.size)
     d_u = b_plus + b_minus + f

@@ -728,7 +728,7 @@ def components_with_order(graph: Graph, within: np.ndarray | None = None) -> lis
             # neighbors are distinct, so marking them all at once visits
             # them in the same ascending order as one at a time
             nb = graph.neighbors(v)
-            fresh = nb[~seen[nb]]
+            fresh = nb.take((~seen.take(nb)).nonzero()[0])
             seen[fresh] = True
             bfs.extend(fresh.tolist())
         out.append(np.array(bfs[::-1], dtype=np.int64))

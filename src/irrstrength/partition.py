@@ -116,8 +116,9 @@ class VertexPartition:
         """Neighbors of v inside U and the edges to them, both as int64
         in ascending neighbor order."""
         nbrs = g.neighbors(v)
-        keep = self.in_u[nbrs]
-        return nbrs[keep].astype(np.int64), g.incident_edges(v)[keep].astype(np.int64)
+        # positions, then take: cheaper than compressing two rows by a boolean mask
+        keep = self.in_u.take(nbrs).nonzero()[0]
+        return nbrs.take(keep).astype(np.int64), g.incident_edges(v).take(keep).astype(np.int64)
 
 
 def sample_partition(g: Graph, p: PipelineParams, seed: int) -> VertexPartition:

@@ -8,13 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
+    Graph,
     ParameterError,
     PipelineParams,
     StageFailure,
     find_partition,
     generate_random_regular,
 )
-from irrstrength.partition import check_partition, log_power, membership_probability, sample_partition
+from irrstrength.partition import (
+    VertexPartition,
+    check_partition,
+    log_power,
+    membership_probability,
+    sample_partition,
+)
 from irrstrength.seeds import derive_seed
 
 
@@ -218,3 +225,44 @@ class TestSamplePartitionProperty:
         assert np.array_equal(part.dui, counts[:, 1:8]) and part.dui.dtype == np.int32
         assert np.array_equal(part.du, counts[:, 1:8].sum(axis=1)) and part.du.dtype == np.int32
         assert np.array_equal(part.d0, counts[:, 0]) and part.d0.dtype == np.int32
+
+
+def mask_u_edges(self, g, v):
+    """``VertexPartition.u_edges`` as it was written with boolean masks."""
+    nbrs = g.neighbors(v)
+    keep = self.in_u[nbrs]
+    return nbrs[keep].astype(np.int64), g.incident_edges(v)[keep].astype(np.int64)
+
+
+@st.composite
+def graphs_with_u_masks(draw):
+    """A random simple graph on 0..20 vertices, isolated ones included,
+    with a U mask that is random, all-U or no-U."""
+    n = draw(st.integers(0, 20))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    kind = draw(st.sampled_from(["random", "all", "none"]))
+    if kind == "random":
+        in_u = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        in_u = [kind == "all"] * n
+    return Graph(n, edges), np.array(in_u, dtype=bool)
+
+
+class TestUEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_u_masks())
+    def test_matches_mask_form(self, g_mask):
+        g, in_u = g_mask
+        # every U-vertex in class 1; u_edges reads only the mask
+        du = np.array([np.count_nonzero(in_u[g.neighbors(v)]) for v in range(g.n)], dtype=np.int32)
+        dui = np.zeros((g.n, 7), dtype=np.int32)
+        dui[:, 0] = du
+        part = VertexPartition(in_u=in_u, klass=in_u.astype(np.int8), du=du, d0=g.degrees - du, dui=dui)
+        for v in range(g.n):
+            nbrs, eids = part.u_edges(g, v)
+            want_nbrs, want_eids = mask_u_edges(part, g, v)
+            assert nbrs.dtype == eids.dtype == np.int64
+            assert np.array_equal(nbrs, want_nbrs) and np.array_equal(eids, want_eids)
+            assert nbrs.size == du[v] and np.all(np.diff(nbrs) > 0)
+            assert all(set(g.edges[e].tolist()) == {v, u} for u, e in zip(nbrs.tolist(), eids.tolist()))
