@@ -450,11 +450,7 @@ def run_distinguishing(
 
     sigma_u = state.sigma[u_verts]
     u_injective = np.unique(sigma_u).size == sigma_u.size
-    per_class = True
-    for i in range(1, 8):
-        cl = u_verts[part.klass[u_verts] == i]
-        if cl.size and np.unique(state.sigma[cl]).size != cl.size:
-            per_class = False
+    per_class = all((band[1:] != band[:-1]).all() for band in _class_bands(part, u_verts, state.sigma))
     incr = state.weights[peids] if peids.size else np.zeros(1, dtype=np.int64)
     return DistinguishDiagnostics(
         components=len(orders),
@@ -467,6 +463,12 @@ def run_distinguishing(
     )
 
 
+def _class_bands(part: VertexPartition, u_verts: np.ndarray, sigma: np.ndarray) -> list[np.ndarray]:
+    """The weighted degrees of U's classes 1..7, each sorted ascending."""
+    by_class = sigma[u_verts[np.argsort(part.klass[u_verts], kind="stable")]]
+    return [np.sort(band) for band in np.split(by_class, np.cumsum(part.class_sizes())[:-1])]
+
+
 def separation_checks(
     g: Graph, part: VertexPartition, state: WeightingState, budgets: Budgets
 ) -> ConditionReport:
@@ -474,85 +476,48 @@ def separation_checks(
     (b) class bands in ascending order, (c) V0 degrees untouched since
     the tuning stage."""
     report = ConditionReport(slack=1.0)
+
+    def check(cond: str, label: str, measured: int, bound: int, witness: str, violations: int) -> None:
+        report.checks.append(ConditionCheck(
+            cond=cond, label=label, passed=violations == 0, measured=float(measured), bound=float(bound),
+            witness=witness if violations else "", violations=violations,
+        ))
+
+    sigma = state.sigma
     v0 = part.v0_vertices()
     uu = part.u_vertices()
 
     if v0.size and uu.size:
-        max_v0 = int(state.sigma[v0].max())
-        min_u = int(state.sigma[uu].min())
-        passed = max_v0 < min_u
-        witness = ""
-        if not passed:
-            worst_v = int(v0[np.argmax(state.sigma[v0])])
-            worst_u = int(uu[np.argmin(state.sigma[uu])])
-            witness = f"sigma({worst_v})={max_v0} >= sigma({worst_u})={min_u}"
-        report.checks.append(
-            ConditionCheck(
-                cond="(a)",
-                label="V0 below U",
-                passed=passed,
-                measured=float(max_v0),
-                bound=float(min_u),
-                witness=witness,
-                violations=0 if passed else 1,
-            )
-        )
+        top_v0 = int(v0[np.argmax(sigma[v0])])
+        low_u = int(uu[np.argmin(sigma[uu])])
+        max_v0, min_u = int(sigma[top_v0]), int(sigma[low_u])
+        witness = f"sigma({top_v0})={max_v0} >= sigma({low_u})={min_u}"
+        check("(a)", "V0 below U", max_v0, min_u, witness, int(max_v0 >= min_u))
     else:
-        report.checks.append(
-            ConditionCheck(cond="(a)", label="V0 below U", passed=True, measured=0.0, bound=0.0)
-        )
+        check("(a)", "V0 below U", 0, 0, "", 0)
 
-    band_fail = None
-    for i in range(1, 7):
-        lo_side = uu[part.klass[uu] == i]
-        hi_side = uu[part.klass[uu] == i + 1]
-        if lo_side.size == 0 or hi_side.size == 0:
-            continue
-        mx = int(state.sigma[lo_side].max())
-        mn = int(state.sigma[hi_side].min())
-        if mx >= mn and band_fail is None:
-            band_fail = (i, mx, mn)
-    report.checks.append(
-        ConditionCheck(
-            cond="(b)",
-            label="class bands ascending",
-            passed=band_fail is None,
-            measured=float(band_fail[1]) if band_fail else 0.0,
-            bound=float(band_fail[2]) if band_fail else 0.0,
-            witness=(
-                f"classes {band_fail[0]} and {band_fail[0] + 1}: max {band_fail[1]} >= min {band_fail[2]}"
-                if band_fail
-                else ""
-            ),
-            violations=0 if band_fail is None else 1,
-        )
-    )
+    # the first pair of adjacent classes, both occupied, whose bands overlap
+    bands = _class_bands(part, uu, sigma)
+    overlaps = [
+        (i, int(lo[-1]), int(hi[0]))
+        for i, (lo, hi) in enumerate(zip(bands, bands[1:]), 1)
+        if lo.size and hi.size and lo[-1] >= hi[0]
+    ]
+    i, mx, mn = overlaps[0] if overlaps else (0, 0, 0)
+    witness = f"classes {i} and {i + 1}: max {mx} >= min {mn}"
+    check("(b)", "class bands ascending", mx, mn, witness, int(bool(overlaps)))
 
     snap = state.v0_sigma_at_tuned
-    changed_witness = ""
-    n_changed = 0
-    if snap is not None and v0.size:
-        now = state.sigma[v0]
-        moved = now != snap
-        n_changed = int(np.count_nonzero(moved))
-        if n_changed:
-            vbad = int(v0[np.nonzero(moved)[0][0]])
-            edge_note = ""
-            eids = g.incident_edges(vbad)
-            late = eids[state.last_mod_stage[eids] > TUNED_ORD]
-            if late.size:
-                u, w = g.edges[int(late[0])]
-                edge_note = f" via edge ({u},{w})"
-            changed_witness = f"sigma({vbad}) moved after tuning{edge_note}"
-    report.checks.append(
-        ConditionCheck(
-            cond="(c)",
-            label="V0 degrees frozen",
-            passed=n_changed == 0,
-            measured=float(n_changed),
-            bound=0.0,
-            witness=changed_witness,
-            violations=n_changed,
-        )
-    )
+    moved = np.flatnonzero(sigma[v0] != snap) if snap is not None and v0.size else v0[:0]
+    witness = ""
+    if moved.size:
+        vbad = int(v0[moved[0]])
+        edge_note = ""
+        eids = g.incident_edges(vbad)
+        late = eids[state.last_mod_stage[eids] > TUNED_ORD]
+        if late.size:
+            u, w = g.edges[int(late[0])]
+            edge_note = f" via edge ({u},{w})"
+        witness = f"sigma({vbad}) moved after tuning{edge_note}"
+    check("(c)", "V0 degrees frozen", moved.size, 0, witness, moved.size)
     return report

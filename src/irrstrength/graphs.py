@@ -686,7 +686,10 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
     the relabeling monotone, so canonical edge order is preserved and
     ``edge_parent[i]`` is the parent edge id of sub edge i.
     """
-    verts = np.unique(np.asarray(vertices, dtype=np.int64))
+    raw = np.asarray(vertices)
+    if raw.size and not np.issubdtype(raw.dtype, np.integer):
+        raise ParameterError(f"subgraph vertices must be integer ids, got dtype {raw.dtype}")
+    verts = np.unique(raw.astype(np.int64))
     if verts.size and (verts[0] < 0 or verts[-1] >= graph.n):
         raise ParameterError("subgraph vertex outside parent range")
     k = int(verts.size)
@@ -714,7 +717,10 @@ def components_with_order(graph: Graph, within: np.ndarray | None = None) -> lis
     ascending order, so the decomposition is deterministic in the graph
     and the mask alone.
     """
-    seen = np.zeros(graph.n, dtype=bool) if within is None else ~within
+    within = np.ones(graph.n, dtype=bool) if within is None else np.asarray(within)
+    if within.dtype != bool or within.shape != (graph.n,):
+        raise ParameterError(f"within must be a boolean mask of length {graph.n}")
+    seen = ~within
     out: list[np.ndarray] = []
     for root in range(graph.n):
         if seen[root]:

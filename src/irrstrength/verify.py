@@ -39,30 +39,24 @@ class VerificationResult:
         return "\n".join(lines) + "\n"
 
 
-def _smallest_collision(sigma: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically smallest (u, v), u < v, with sigma[u] == sigma[v].
-
-    A stable sort lists each tied group in ascending vertex order, so a
-    group's first two entries are its smallest pair, and the answer is
-    the tie with the smallest first vertex.
-    """
-    order = np.argsort(sigma, kind="stable")
-    tied = np.flatnonzero(sigma[order[1:]] == sigma[order[:-1]])
-    if tied.size == 0:
-        return None
-    i = int(tied[np.argmin(order[tied])])
-    return int(order[i]), int(order[i + 1])
-
-
 def is_irregular(g: Graph, weights: np.ndarray, cap: int | None = None) -> VerificationResult:
     """Check global pairwise distinctness of weighted degrees.
 
     Distinctness is required over ALL vertex pairs, not just adjacent
-    ones. ``cap`` (when given) drives the bound_ok field.
+    ones. ``cap`` (when given) drives the bound_ok field. The witness is
+    the lexicographically smallest (u, v), u < v, with equal degrees: a
+    stable sort lists each tied group in ascending vertex order, so a
+    group's first two entries are its smallest pair, and the answer is
+    the tie with the smallest first vertex.
     """
     sigma = weighted_degrees(g, weights)
-    distinct = int(np.unique(sigma).size)
-    witness = None if distinct == g.n else _smallest_collision(sigma)
+    order = np.argsort(sigma, kind="stable")
+    ranked = sigma[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    witness = None
+    if tied.size:
+        i = int(tied[np.argmin(order[tied])])
+        witness = (int(order[i]), int(order[i + 1]))
     if g.num_edges:
         min_label = int(np.min(weights))
         max_label = int(np.max(weights))
@@ -75,9 +69,9 @@ def is_irregular(g: Graph, weights: np.ndarray, cap: int | None = None) -> Verif
         min_label=min_label,
         max_label=max_label,
         bound_ok=True if cap is None else max_label <= cap,
-        sigma_min=int(sigma.min()) if g.n else 0,
-        sigma_max=int(sigma.max()) if g.n else 0,
-        distinct_sigmas=distinct,
+        sigma_min=int(ranked[0]) if g.n else 0,
+        sigma_max=int(ranked[-1]) if g.n else 0,
+        distinct_sigmas=g.n - int(tied.size),
         n=g.n,
     )
 

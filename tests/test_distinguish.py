@@ -404,6 +404,40 @@ def _outcome(run, case, params: PipelineParams):
     return result, state.stage, [a.tolist() for a in arrays]
 
 
+class TestSeparationChecksMatchReference:
+    """The post-pass checks against their verbatim earlier version in
+    ``tests/distinguish_reference.py``, on the state a pass leaves (failed
+    passes included) after the sigma of one or two vertices and the
+    modification marks of their edges are edited, so that (a), (b) and (c)
+    each both pass and fail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tuned_cases(), data=st.data())
+    def test_same_checks(self, case, data):
+        g, klass, weight_map, m = case
+        part = make_partition(g, klass)
+        state = tuned_state(g, part, weight_map)
+        budgets = budgets_with_m(m)
+        try:
+            run_distinguishing(g, part, budgets, state, empirical())
+        except StageFailure:
+            pass
+        # move one or two vertices, from V0 half the time, and remark their
+        # edges: (c) names the first late-marked edge at the first moved V0 vertex
+        v0 = part.v0_vertices().tolist()
+        pool = st.sampled_from(v0) if v0 and data.draw(st.booleans()) else st.integers(0, g.n - 1)
+        for v in data.draw(st.lists(pool, min_size=1, max_size=2)):
+            state.sigma[v] += data.draw(st.integers(-60, 60))
+            eids = g.incident_edges(v)
+            state.last_mod_stage[eids] = data.draw(st.lists(st.integers(0, 3), min_size=eids.size, max_size=eids.size))
+        if data.draw(st.booleans()):
+            state.v0_sigma_at_tuned = None
+        got = separation_checks(g, part, state, budgets)
+        want = distinguish_reference.separation_checks(g, part, state, budgets)
+        assert got.checks == want.checks
+        assert got.to_text() == want.to_text()
+
+
 class TestMatchesReference:
     """The pass against its verbatim earlier version in
     ``tests/distinguish_reference.py``: the same diagnostics (the earlier

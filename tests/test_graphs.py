@@ -446,6 +446,16 @@ class TestInducedSubgraph:
         with pytest.raises(ParameterError):
             induced_subgraph(cycle(4), np.array([0, 7]))
 
+    def test_fractional_ids_refused(self):
+        # cast to int64 they were truncated to {0, 1, 2}
+        with pytest.raises(ParameterError, match="integer"):
+            induced_subgraph(cycle(4), np.array([0.9, 1.7, 2.2]))
+
+    def test_boolean_mask_refused(self):
+        # cast to int64 this mask was read as the vertex set {0, 1}
+        with pytest.raises(ParameterError, match="integer"):
+            induced_subgraph(cycle(4), np.array([True, False, True, True]))
+
 
 class TestComponentOrdering:
     def test_partition_into_components(self):
@@ -487,6 +497,23 @@ class TestComponentOrdering:
         comps = components_with_order(g, within)
         assert [order.tolist() for order in comps] == [[3, 4, 5, 1, 0]]
         assert within.tolist() == [True, True, False, True, True, True]
+
+    @pytest.mark.parametrize(
+        "within",
+        [
+            np.array([1, 1, 0, 1]),  # an integer mask returned no components
+            np.array([True, True]),  # too short a mask raised IndexError
+        ],
+        ids=["integer", "short"],
+    )
+    def test_within_must_be_a_boolean_mask_of_length_n(self, within):
+        with pytest.raises(ParameterError, match="boolean mask of length 4"):
+            components_with_order(Graph(4, [(0, 1), (1, 2), (2, 3)]), within)
+
+    def test_within_as_a_list(self):
+        # a list raised TypeError; it is read as the array it spells
+        comps = components_with_order(Graph(4, [(0, 1), (1, 2), (2, 3)]), [True, True, False, True])
+        assert [order.tolist() for order in comps] == [[1, 0], [3]]
 
 
 def assert_matches_reference(g: Graph, n: int, edges: list[tuple[int, int]]) -> None:

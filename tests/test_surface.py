@@ -89,3 +89,21 @@ def test_runtime_imports_are_stdlib_numpy_or_mpmath():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_runtime_modules_use_every_name_they_import():
+    # __init__.py is left out: its imports are the package's exports
+    for path in sorted((ROOT / "src" / "irrstrength").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert name in used, f"{path.name}:{node.lineno} imports {name} and never uses it"

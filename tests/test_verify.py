@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
@@ -17,7 +17,7 @@ from irrstrength import (
     weighted_degrees,
 )
 from irrstrength.labeling import Budgets
-from irrstrength.verify import _degree_sums_admit, _feasible_with, _search_order, _smallest_collision
+from irrstrength.verify import _degree_sums_admit, _feasible_with, _search_order
 from tests.test_distinguish import tuned_state
 from tests.test_labeling import make_partition
 
@@ -91,6 +91,17 @@ class TestWeightedDegrees:
             is_irregular(g, np.array([1.9, 2.2]))
 
 
+@st.composite
+def weighted_graphs(draw):
+    """A simple graph on up to 9 vertices, its edges in canonical order,
+    with labels in -3..3, so weighted degrees tie often and in groups."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    return n, edges, draw(st.lists(st.integers(-3, 3), min_size=len(edges), max_size=len(edges)))
+
+
 class TestIsIrregular:
     def test_pass_case(self):
         g = path_graph(3)
@@ -109,16 +120,25 @@ class TestIsIrregular:
         assert not res.irregular
         assert res.witness == (0, 1)
 
-    @given(st.lists(st.integers(-3, 3), max_size=30))
-    def test_smallest_collision_matches_brute_force(self, values):
-        sigma = np.array(values, dtype=np.int64)
-        pairs = [
-            (u, v)
-            for u in range(sigma.size)
-            for v in range(u + 1, sigma.size)
-            if sigma[u] == sigma[v]
-        ]
-        assert _smallest_collision(sigma) == (min(pairs) if pairs else None)
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_graphs())
+    @example((0, [], []))
+    @example((1, [], []))
+    @example((5, [], []))  # all sigmas equal
+    @example((5, [(0, 4), (1, 4), (2, 3), (3, 4)], [1, 1, 1, 0]))  # sigma = [1, 1, 1, 1, 2]
+    @example((6, [(0, 3), (1, 2), (2, 4), (3, 5)], [2, 2, 0, 0]))  # sigma = [2, 2, 2, 2, 0, 0]
+    def test_smallest_collision_matches_brute_force(self, case):
+        n, edges, labels = case
+        sigma = [0] * n
+        for (u, v), wt in zip(edges, labels):
+            sigma[u] += wt
+            sigma[v] += wt
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if sigma[u] == sigma[v]]
+        res = is_irregular(Graph(n, edges), np.array(labels, dtype=np.int64))
+        assert res.witness == (min(pairs) if pairs else None)
+        assert res.irregular == (not pairs)
+        assert res.distinct_sigmas == len(set(sigma))
+        assert (res.sigma_min, res.sigma_max) == ((min(sigma), max(sigma)) if n else (0, 0))
 
     def test_crafted_multi_collision(self):
         g = Graph(5, [])
