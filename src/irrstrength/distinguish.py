@@ -54,7 +54,7 @@ class _Pass:
     anchor_low[v] and listed among that pair's holders; class_lows holds
     the pairs registered in each class. From then on v's weighted degree
     never leaves {anchor_low[v], anchor_low[v] + m}: coarse moves toggle
-    backward neighbors by +-m as ``_split_backward`` directs, fine moves
+    backward neighbors by +-m as ``_split_row`` directs, fine moves
     touch only forward (unanalyzed) neighbors, and the endgame edge is
     excluded once its first endpoint is registered. So an analyzed
     vertex has degree ``value`` exactly when a holder of
@@ -113,67 +113,52 @@ def _apply_edge_deltas(
     state.sigma[v] += delta * eids.size
 
 
-_Edges = tuple[np.ndarray, np.ndarray]
+def _split_row(
+    ps: _Pass, v: int, skip_eids: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """v's U-row as (neighbors, edges, b_plus, b_minus), regrouped as
+    plus | minus | forward, each group in ascending neighbor order.
 
-
-def _split_backward(
-    ps: _Pass, nbrs: np.ndarray, eids: np.ndarray, skip_eids: Iterable[int] = ()
-) -> tuple[_Edges, _Edges]:
-    """Analyzed neighbors split by allowed coarse direction.
-
-    Returns (plus, minus), each as (neighbors, edges) arrays in ascending
-    neighbor order: plus edges may gain m (their endpoint sits at the low
-    element of its pair), minus edges may lose m. Edges in skip_eids are
-    left out entirely.
+    Plus edges lead to analyzed neighbors at the low element of their
+    pair, so they may gain m; minus edges lead to analyzed neighbors at
+    the high element and may lose m. Forward edges lead to unanalyzed
+    neighbors; edges in skip_eids count as forward, so coarse moves
+    never take them.
     """
-    keep = ps.analyzed.take(nbrs)
+    nbrs, eids = ps.part.u_edges(ps.g, v)
+    back = ps.analyzed.take(nbrs)
     for eid in skip_eids:
-        keep &= eids != eid
-    pos = keep.nonzero()[0]
-    nbrs, eids = nbrs.take(pos), eids.take(pos)
-    up = ps.state.sigma.take(nbrs) == ps.anchor_low.take(nbrs)
-    up_pos, down_pos = up.nonzero()[0], (~up).nonzero()[0]
-    return (nbrs.take(up_pos), eids.take(up_pos)), (nbrs.take(down_pos), eids.take(down_pos))
+        back &= eids != eid
+    low = ps.state.sigma.take(nbrs) == ps.anchor_low.take(nbrs)
+    plus, minus = (back & low).nonzero()[0], (back > low).nonzero()[0]
+    pos = np.concatenate([plus, minus, (~back).nonzero()[0]])
+    return nbrs.take(pos), eids.take(pos), plus.size, minus.size
 
 
 def _realize_coarse(
-    ps: _Pass,
-    v: int,
-    moves: int,
-    plus: _Edges,
-    minus: _Edges,
-    avoid_eid: int | None,
+    ps: _Pass, v: int, moves: int, nbrs: np.ndarray, eids: np.ndarray, b_plus: int, b_minus: int
 ) -> None:
-    """Apply |moves| coarse steps (sign of ``moves`` chooses direction)
-    on backward edges in descending neighbor order, skipping avoid_eid."""
-    if moves == 0:
-        return
-    nbrs, eids = plus if moves > 0 else minus
-    if avoid_eid is not None:
-        keep = eids != avoid_eid
-        nbrs, eids = nbrs[keep], eids[keep]
+    """Apply |moves| coarse steps (sign of ``moves`` chooses direction) on
+    the highest neighbors of the row's plus or minus group."""
     need = abs(moves)
-    if eids.size < need:
+    if need > (b_plus if moves > 0 else b_minus):
         raise RuntimeError("coarse realization short of edges; selection logic broken")
-    # neighbors ascend, so the highest ``need`` of them are the last ones
-    top = eids.size - need
-    _apply_edge_deltas(ps, v, nbrs[top:], eids[top:], ps.m if moves > 0 else -ps.m)
+    # each group ascends, so its highest ``need`` neighbors end it
+    end = b_plus if moves > 0 else b_plus + b_minus
+    _apply_edge_deltas(ps, v, nbrs[end - need : end], eids[end - need : end], ps.m if moves > 0 else -ps.m)
 
 
 def _process_vertex(ps: _Pass, v: int) -> None:
     """Confine one ordinary (non-endgame) vertex to a fresh pair."""
     klass = int(ps.part.klass[v])
     m = ps.m
-    nbrs, eids = ps.part.u_edges(ps.g, v)
-    plus, minus = _split_backward(ps, nbrs, eids)
-    fwd = (~ps.analyzed.take(nbrs)).nonzero()[0]
-    fwd_nbrs, fwd_eids = nbrs.take(fwd), eids.take(fwd)
+    nbrs, eids, b_plus, b_minus = _split_row(ps, v, ())
+    fwd_nbrs, fwd_eids = nbrs[b_plus + b_minus :], eids[b_plus + b_minus :]
 
-    b_plus, b_minus, f = plus[1].size, minus[1].size, int(fwd_nbrs.size)
-    d_u = b_plus + b_minus + f
+    d_u = int(nbrs.size)
     sigma_cur = int(ps.state.sigma[v])
     lo = sigma_cur - b_minus * m
-    hi = sigma_cur + (b_plus + f) * m
+    hi = sigma_cur + (d_u - b_minus) * m
 
     size_i = int(ps.class_sizes[klass - 1])
     if ps.strict and not d_u * m + 1 > 2 * size_i:
@@ -206,7 +191,7 @@ def _process_vertex(ps: _Pass, v: int) -> None:
 
     off = target - sigma_cur
     coarse = min(b_plus, off // m) if off >= 0 else off // m
-    _realize_coarse(ps, v, coarse, plus, minus, avoid_eid=None)
+    _realize_coarse(ps, v, coarse, nbrs, eids, b_plus, b_minus)
     # fine moves: m on each of the first ``full`` forward edges, the rest on the next one
     full, rem = divmod(off - coarse * m, m)
     _apply_edge_deltas(ps, v, fwd_nbrs[:full], fwd_eids[:full], m)
@@ -233,14 +218,11 @@ def _settle_endgame_vertex(
     that).
     """
     m = ps.m
-    nbrs, eids = ps.part.u_edges(ps.g, v)
-    plus, minus = _split_backward(ps, nbrs, eids, skip_eids=excluded_eids)
-    b_plus, b_minus = plus[1].size, minus[1].size
+    nbrs, eids, b_plus, b_minus = _split_row(ps, v, excluded_eids)
     sigma_cur = int(ps.state.sigma[v])
-    back_eids = np.concatenate([plus[1], minus[1]])
-    # position in back_eids of the first edge (plus before minus) to a holder of each pair
+    # row position of the first backward edge (plus before minus) to a holder of each pair
     first_edge: dict[int, int] = {}
-    for pos, low in enumerate(ps.anchor_low[np.concatenate([plus[0], minus[0]])].tolist()):
+    for pos, low in enumerate(ps.anchor_low[nbrs[: b_plus + b_minus]].tolist()):
         first_edge.setdefault(low, pos)
 
     for k in range(-b_minus, b_plus + 1):
@@ -265,7 +247,10 @@ def _settle_endgame_vertex(
             witness={"vertex": v, "options": b_plus + b_minus + 1},
         )
 
-    _realize_coarse(ps, v, k, plus, minus, avoid_eid=None if pos is None else int(back_eids[pos]))
+    # the edge to a holder of the chosen pair leaves the row; eff_plus/eff_minus count the rest
+    if pos is not None:
+        nbrs, eids = np.delete(nbrs, pos), np.delete(eids, pos)
+    _realize_coarse(ps, v, k, nbrs, eids, eff_plus, eff_minus)
     if int(ps.state.sigma[v]) != value:
         raise RuntimeError("endgame vertex landed off target; realization logic broken")
     ps.register(v, low)
@@ -304,7 +289,7 @@ def _check_endgame_thresholds(ps: _Pass, u1: int, u0: int, d_u1: int, d_u0: int)
         )
 
 
-def _edge_star(ps: _Pass, u1: int, u0: int) -> _Edges:
+def _edge_star(ps: _Pass, u1: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
     """The endgame edge as one-element (neighbor, edge) arrays seen from u1."""
     e_star = ps.g.edge_between(u1, u0)
     if e_star is None:

@@ -135,6 +135,17 @@ class TestWeight:
         assert "degree window" in out
         assert "strict" in out
 
+    def test_membership_probability_of_one_is_refused(self, capsys):
+        # (ln 3000)^(2e-20) rounds to 1.0, so every vertex would land in U
+        rc = main(["weight", "--n", "3000", "--d", "150", "--b", "1e-20", "--eps", "1e-20",
+                   "--mode", "empirical"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert (
+            "failure.stage=entry\nfailure.kind=parameter\nfailure.message=membership probability "
+            "1.0 outside (0,1) for n=3000, b=1e-20, eps=1e-20\n"
+        ) in out
+
     def test_stage_failure_exits_2_and_writes_report_but_no_weights(self, tmp_path, capsys):
         """At n=100, d=10 the per-class degree window contains no integer,
         so the partition stage exhausts its retries."""

@@ -15,7 +15,13 @@ from irrstrength import (
     separation_checks,
     weighted_degrees,
 )
-from irrstrength.distinguish import _endgame_edge_candidates, _Pass, _settle_endgame_vertex, pair_low
+from irrstrength.distinguish import (
+    _endgame_edge_candidates,
+    _endgame_general,
+    _Pass,
+    _settle_endgame_vertex,
+    pair_low,
+)
 from irrstrength.labeling import Budgets
 from tests import distinguish_reference
 from tests.test_labeling import make_partition
@@ -290,6 +296,41 @@ class TestEndgameBranches:
         assert _settle_endgame_vertex(ps, 0, set(), set()) == 40
         assert state.sigma[:3].tolist() == [40, 100, 202]
         assert np.array_equal(state.weights, before)
+
+    def build_congruent(self, pairs: int):
+        # u1 = 1 and u0 = 0 are adjacent and share the control neighbors
+        # 2..49, so both have U-degree 49 and pass the 45/47 gate. With m=1
+        # every pair has residue 0; vertices 2 + 2i and 3 + 2i hold pair 2i
+        # (i < pairs) and sit at its low end
+        g = Graph(50, [(0, 1)] + [(u, j) for u in (0, 1) for j in range(2, 50)])
+        part = make_partition(g, [1] * 50)
+        anchors = {j: j - 2 - j % 2 for j in range(2, 2 + 2 * pairs)}
+        state = tuned_state(g, part, {(0, 1): 100} | {(0, j): low for j, low in anchors.items()})
+        return g, state, hand_pass(g, part, state, True, 1, anchors)
+
+    def test_endgame_edge_refused_above_twenty_congruent_multi_pairs(self):
+        g, state, ps = self.build_congruent(21)
+        before = state.weights.copy()
+        with pytest.raises(StageFailure) as exc:
+            _endgame_general(ps, 1, 0)
+        err = exc.value
+        assert err.kind == "kkp_threshold"
+        assert err.message == (
+            "endgame edge (1,0): best value still meets 21 multiply-assigned pair sets "
+            "per residue, above the allowed 20"
+        )
+        assert err.witness == {"edge": (1, 0), "count": 21}
+        assert np.array_equal(state.weights, before)
+
+    def test_endgame_edge_taken_at_twenty_congruent_multi_pairs(self):
+        # wv=0 lowers the endgame edge to 99; u1 then steps up to 100 on its
+        # highest plus edge (to 41), and u0 keeps its degree
+        g, state, ps = self.build_congruent(20)
+        _endgame_general(ps, 1, 0)
+        assert state.weights[g.edge_between(0, 1)] == 99
+        assert state.weights[g.edge_between(1, 41)] == 1
+        assert state.sigma[[0, 1, 41]].tolist() == [859, 100, 39]
+        assert ps.anchor_low[[0, 1]].tolist() == [858, 100]
 
 
 class TestSeparationChecks:

@@ -107,3 +107,32 @@ def test_runtime_modules_use_every_name_they_import():
                 continue
             for name in names:
                 assert name in used, f"{path.name}:{node.lineno} imports {name} and never uses it"
+
+
+def test_runtime_private_names_are_used():
+    # a private module-level function, class or constant that no module
+    # of the package loads or imports is dead code
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted((ROOT / "src" / "irrstrength").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    dead = sorted(f"{where} defines {name}" for name, where in defined.items() if name not in used)
+    assert not dead, dead
