@@ -318,7 +318,8 @@ def _endgame_general(ps: _Pass, u1: int, u0: int) -> None:
     _apply_edge_deltas(ps, u1, *star, wv - m)
 
     s_t = ps.multi_pair_lows()
-    low1 = _settle_endgame_vertex(ps, u1, excluded_eids={e_star}, forbidden_lows=s_t)
+    # u0 is still unanalyzed, so e_star is already a forward edge of u1's row
+    low1 = _settle_endgame_vertex(ps, u1, excluded_eids=set(), forbidden_lows=s_t)
 
     # a single edge from the root to a holder of u1's pair leaves the progression
     nbrs0, eids0 = ps.part.u_edges(ps.g, u0)

@@ -130,9 +130,13 @@ def sample_partition(g: Graph, p: PipelineParams, seed: int) -> VertexPartition:
     draw = rng.integers(1, 8, size=g.n, dtype=np.int8)
     klass = np.where(in_u, draw, np.int8(0)).astype(np.int8)
 
-    # the graph is d-regular, so row v of the CSR holds exactly d classes
-    nbr_class = klass[g.indices].reshape(g.n, d)
-    dui = np.stack([(nbr_class == c).view(np.uint8).sum(axis=1, dtype=np.int32) for c in range(1, 8)], axis=1)
+    # adjacency is symmetric, so v has as many class-c neighbours as it has
+    # occurrences in the rows of the class-c vertices; the graph is d-regular,
+    # so those rows are whole d-entry slices of the CSR
+    rows = g.indices.reshape(g.n, d)
+    dui = np.stack(
+        [np.bincount(rows[klass == c].ravel(), minlength=g.n) for c in range(1, 8)], axis=1
+    ).astype(np.int32)
     du = dui.sum(axis=1, dtype=np.int32)
     return VertexPartition(in_u=in_u, klass=klass, du=du, d0=d - du, dui=dui)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from irrstrength.partition import (
     sample_partition,
 )
 from irrstrength.seeds import derive_seed
+from tests import partition_reference
 
 
 def empirical(b: float = 1.0, eps: float = 1 / 12, slack: float = 1.0, retries: int = 100) -> PipelineParams:
@@ -128,6 +130,19 @@ class TestSamplePartition:
                 assert part.dui[v, i - 1] == int(np.sum(part.klass[nbrs] == i))
         assert part.class_sizes().sum() == part.u_size
 
+    def test_peak_memory_per_csr_entry(self):
+        # counting from the class rows holds one class's rows and their
+        # index cast at a time, about 1.3 bytes per entry here; a gather of
+        # every entry's class and a compare mask would hold 2.1
+        g = generate_random_regular(2000, 400, seed=5)
+        tracemalloc.start()
+        try:
+            sample_partition(g, empirical(b=0.2, eps=0.05), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.indices.size < 1.75
+
     def test_membership_rate_sane(self, g300):
         # crude two-sided binomial check, ~15 sigma margin
         p = membership_probability(g300.n, 1.0, 1 / 12)
@@ -225,6 +240,20 @@ class TestSamplePartitionProperty:
         assert np.array_equal(part.dui, counts[:, 1:8]) and part.dui.dtype == np.int32
         assert np.array_equal(part.du, counts[:, 1:8].sum(axis=1)) and part.du.dtype == np.int32
         assert np.array_equal(part.d0, counts[:, 0]) and part.d0.dtype == np.int32
+
+    # the three ranges give nearly all-U draws (b + eps near 0), no-U draws
+    # (b + eps in the hundreds) and, in between, draws with empty classes
+    exponents = st.one_of(st.floats(1e-9, 1e-6), st.floats(0.01, 2.0), st.floats(100.0, 200.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(regular_graphs(), exponents, exponents, st.integers(0, 2**32))
+    def test_matches_compare_and_sum_reference(self, g, b, eps, seed):
+        p = empirical(b=b, eps=eps)
+        part = sample_partition(g, p, seed=seed)
+        want = partition_reference.sample_partition(g, p, seed=seed)
+        for name in ("in_u", "klass", "dui", "du", "d0"):
+            got, ref = getattr(part, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 def mask_u_edges(self, g, v):
