@@ -58,7 +58,8 @@ class _Pass:
     touch only forward (unanalyzed) neighbors, and the endgame edge is
     excluded once its first endpoint is registered. So an analyzed
     vertex has degree ``value`` exactly when a holder of
-    ``pair_low(value)`` does.
+    ``pair_low(value)`` does. An unanalyzed vertex has anchor_low -1,
+    which names no pair: a low end's quotient by m is even, -1 // m is -1.
     """
 
     g: Graph
@@ -67,13 +68,11 @@ class _Pass:
     strict: bool
     m: int
     class_sizes: np.ndarray
-    analyzed: np.ndarray
     anchor_low: np.ndarray
     class_lows: list[set[int]]
     holders: dict[int, list[int]]
 
     def register(self, v: int, low: int) -> None:
-        self.analyzed[v] = True
         self.anchor_low[v] = low
         self.class_lows[int(self.part.klass[v]) - 1].add(low)
         self.holders.setdefault(low, []).append(v)
@@ -126,10 +125,11 @@ def _split_row(
     never take them.
     """
     nbrs, eids = ps.part.u_edges(ps.g, v)
-    back = ps.analyzed.take(nbrs)
+    anchors = ps.anchor_low.take(nbrs)
+    back = anchors != -1
     for eid in skip_eids:
         back &= eids != eid
-    low = ps.state.sigma.take(nbrs) == ps.anchor_low.take(nbrs)
+    low = ps.state.sigma.take(nbrs) == anchors
     plus, minus = (back & low).nonzero()[0], (back > low).nonzero()[0]
     pos = np.concatenate([plus, minus, (~back).nonzero()[0]])
     return nbrs.take(pos), eids.take(pos), plus.size, minus.size
@@ -257,13 +257,12 @@ def _settle_endgame_vertex(
     return low
 
 
-def _endgame_edge_candidates(ps: _Pass, sigma1: int, sigma0: int) -> list[tuple[int, int]]:
+def _endgame_edge_candidates(m: int, multi: set[int], sigma1: int, sigma0: int) -> list[tuple[int, int]]:
     """Endgame-edge values wv, as (larger congruence count, wv) pairs,
     ranked by how badly the resulting degrees sigma + wv - m land on
-    residues of multiply-assigned pairs: minimize the larger count, then
-    the total, then the value itself."""
-    m = ps.m
-    res_count = Counter(low % m for low in ps.multi_pair_lows())
+    residues of the multiply-assigned pairs ``multi``: minimize the larger
+    count, then the total, then the value itself."""
+    res_count = Counter(low % m for low in multi)
     ranked = []
     for wv in range(m + 1):
         c1 = res_count[(sigma1 + wv) % m]
@@ -289,12 +288,14 @@ def _check_endgame_thresholds(ps: _Pass, u1: int, u0: int, d_u1: int, d_u0: int)
         )
 
 
-def _edge_star(ps: _Pass, u1: int, u0: int) -> tuple[np.ndarray, np.ndarray]:
-    """The endgame edge as one-element (neighbor, edge) arrays seen from u1."""
-    e_star = ps.g.edge_between(u1, u0)
-    if e_star is None:
+def _root_row(ps: _Pass, u1: int, u0: int) -> tuple[np.ndarray, np.ndarray, slice]:
+    """The root u0's U-row and the slice of it that holds the endgame edge
+    to u1, the root's first-visited child."""
+    nbrs0, eids0 = ps.part.u_edges(ps.g, u0)
+    pos = int(np.searchsorted(nbrs0, u1))
+    if pos == nbrs0.size or nbrs0[pos] != u1:
         raise RuntimeError("endgame vertices are not adjacent; ordering logic broken")
-    return np.array([u0]), np.array([e_star])
+    return nbrs0, eids0, slice(pos, pos + 1)
 
 
 def _endgame_general(ps: _Pass, u1: int, u0: int) -> None:
@@ -302,9 +303,9 @@ def _endgame_general(ps: _Pass, u1: int, u0: int) -> None:
     # part.du holds the degrees inside U
     _check_endgame_thresholds(ps, u1, u0, int(ps.part.du[u1]), int(ps.part.du[u0]))
 
-    star = _edge_star(ps, u1, u0)
-    e_star = int(star[1][0])
-    c_max, wv = _endgame_edge_candidates(ps, int(ps.state.sigma[u1]), int(ps.state.sigma[u0]))[0]
+    nbrs0, eids0, star = _root_row(ps, u1, u0)
+    s_t = ps.multi_pair_lows()
+    c_max, wv = _endgame_edge_candidates(m, s_t, int(ps.state.sigma[u1]), int(ps.state.sigma[u0]))[0]
     if ps.strict and c_max > _MAX_CONGRUENT_MULTI_PAIRS:
         raise StageFailure(
             stage="distinguish",
@@ -315,19 +316,16 @@ def _endgame_general(ps: _Pass, u1: int, u0: int) -> None:
             ),
             witness={"edge": (u1, u0), "count": c_max},
         )
-    _apply_edge_deltas(ps, u1, *star, wv - m)
+    _apply_edge_deltas(ps, u0, nbrs0[star], eids0[star], wv - m)
 
-    s_t = ps.multi_pair_lows()
-    # u0 is still unanalyzed, so e_star is already a forward edge of u1's row
+    # u0 is still unanalyzed, so the endgame edge is already a forward edge of u1's row
     low1 = _settle_endgame_vertex(ps, u1, excluded_eids=set(), forbidden_lows=s_t)
 
-    # a single edge from the root to a holder of u1's pair leaves the progression
-    nbrs0, eids0 = ps.part.u_edges(ps.g, u0)
-    extra_excluded: set[int] = {e_star}
-    hit = np.flatnonzero((eids0 != e_star) & ps.analyzed[nbrs0] & (ps.anchor_low[nbrs0] == low1))
-    if hit.size:
-        extra_excluded.add(int(eids0[hit[0]]))
-    _settle_endgame_vertex(ps, u0, excluded_eids=extra_excluded, forbidden_lows=s_t | {low1})
+    # the endgame edge and a single edge from the root to another holder
+    # of u1's pair leave the progression
+    hit = np.flatnonzero((nbrs0 != u1) & (ps.anchor_low[nbrs0] == low1))[:1]
+    excluded = set(eids0[star].tolist() + eids0[hit].tolist())
+    _settle_endgame_vertex(ps, u0, excluded_eids=excluded, forbidden_lows=s_t | {low1})
 
 
 def _endgame_two_vertex(ps: _Pass, u1: int, u0: int) -> None:
@@ -336,11 +334,11 @@ def _endgame_two_vertex(ps: _Pass, u1: int, u0: int) -> None:
     m = ps.m
     _check_endgame_thresholds(ps, u1, u0, 1, 1)
 
-    star = _edge_star(ps, u1, u0)
+    nbrs0, eids0, star = _root_row(ps, u1, u0)
     s_t = ps.multi_pair_lows()
     sigma1 = int(ps.state.sigma[u1])
     sigma0 = int(ps.state.sigma[u0])
-    for _c_max, wv in _endgame_edge_candidates(ps, sigma1, sigma0):
+    for _c_max, wv in _endgame_edge_candidates(m, s_t, sigma1, sigma0):
         s1 = sigma1 + wv - m
         s0 = sigma0 + wv - m
         low1 = pair_low(s1, m)
@@ -349,7 +347,7 @@ def _endgame_two_vertex(ps: _Pass, u1: int, u0: int) -> None:
             continue
         if low0 in s_t or low0 == low1 or ps.degree_taken(low0, s0):
             continue
-        _apply_edge_deltas(ps, u1, *star, wv - m)
+        _apply_edge_deltas(ps, u0, nbrs0[star], eids0[star], wv - m)
         ps.register(u1, low1)
         ps.register(u0, low0)
         return
@@ -411,8 +409,7 @@ def run_distinguishing(
         strict=params.strict,
         m=m,
         class_sizes=part.class_sizes(),
-        analyzed=np.zeros(g.n, dtype=bool),
-        anchor_low=np.zeros(g.n, dtype=np.int64),
+        anchor_low=np.full(g.n, -1, dtype=np.int64),
         class_lows=[set() for _ in range(7)],
         holders={},
     )

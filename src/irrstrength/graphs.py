@@ -99,17 +99,6 @@ class Graph:
         """Edge ids incident to v, aligned with neighbors(v)."""
         return self.edge_ids[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_between(self, u: int, v: int) -> int | None:
-        """Edge id joining u and v, or None if they are not adjacent
-        (also when u == v or either id lies outside 0..n-1)."""
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            return None
-        start, stop = int(self.indptr[u]), int(self.indptr[u + 1])
-        pos = start + int(np.searchsorted(self.indices[start:stop], v))
-        if pos < stop and self.indices[pos] == v:
-            return int(self.edge_ids[pos])
-        return None
-
     def regular_degree(self) -> int:
         """The common degree if the graph is regular, else raise."""
         if self.n == 0:
@@ -124,10 +113,11 @@ class Graph:
 
 
 def edge_lookup(g: Graph) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The bulk form of ``g.edge_between``: a function from endpoint
-    arrays ``us, vs`` to the ids of the edges joining ``us[i]`` and
-    ``vs[i]``, -1 where there is no edge. The int64 edge keys are built
-    once here and shared by every call."""
+    """A function from endpoint arrays ``us, vs`` to the ids of the edges
+    joining ``us[i]`` and ``vs[i]``, in either order; -1 where they are not
+    adjacent, also when ``us[i] == vs[i]`` or either id lies outside
+    0..n-1. The int64 edge keys are built once here and shared by every
+    call."""
     n = g.n
     # edge keys are positive, so -1 marks a pair that is no edge, and the
     # sentinel above them all gives every query a valid position

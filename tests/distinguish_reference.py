@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from irrstrength.errors import ParameterError, StageFailure
-from irrstrength.graphs import Graph, components_with_order
+from irrstrength.graphs import Graph, components_with_order, edge_lookup
 from irrstrength.labeling import (
     DISTINGUISHED_ORD,
     STAGE_DISTINGUISHED,
@@ -382,7 +382,7 @@ def _endgame_general(ctx: _Ctx, st: _AlgoState, u1: int, u0: int, size: int) -> 
     d_u0 = int(ctx.part.du[u0])
     _check_endgame_thresholds(ctx, u1, u0, d_u1, d_u0)
 
-    e_star = ctx.g.edge_between(u1, u0)
+    e_star = next((int(e) for e in edge_lookup(ctx.g)([u1], [u0]) if e >= 0), None)
     if e_star is None:
         raise RuntimeError("endgame vertices are not adjacent; ordering logic broken")
 
@@ -425,7 +425,7 @@ def _endgame_two_vertex(ctx: _Ctx, st: _AlgoState, u1: int, u0: int) -> Componen
     m = ctx.m
     _check_endgame_thresholds(ctx, u1, u0, 1, 1)
 
-    e_star = ctx.g.edge_between(u1, u0)
+    e_star = next((int(e) for e in edge_lookup(ctx.g)([u1], [u0]) if e >= 0), None)
     s_t = st.multi_pair_lows()
     sigma1 = int(ctx.state.sigma[u1])
     sigma0 = int(ctx.state.sigma[u0])

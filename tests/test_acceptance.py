@@ -42,6 +42,7 @@ from irrstrength.distinguish import pair_low
 from irrstrength.partition import sample_partition
 from tests.cubic_census import connected_cubic_graphs
 from tests.test_distinguish import budgets_with_m, tuned_state
+from tests.test_graphs import edge_id
 from tests.test_labeling import make_partition
 
 # one graph per size, mined over pipeline seeds 0,1,2,...; d sits inside
@@ -203,7 +204,7 @@ def test_a1_verifier_soundness():
         g = Graph(n + 1, [tuple(e) for e in h.edges.tolist()] + [(n, x) for x in twin_nbrs])
         weights = rng.integers(1, 10, size=g.num_edges)
         for x in twin_nbrs:
-            weights[g.edge_between(n, x)] = weights[g.edge_between(0, x)]
+            weights[edge_id(g, n, x)] = weights[edge_id(g, 0, x)]
         sigma = weighted_degrees(g, weights)
         assert sigma[0] == sigma[n]
         res = is_irregular(g, weights)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from irrstrength import graphs
+from irrstrength import RetryExhausted, cli, graphs
 from irrstrength.cli import main
 from irrstrength.graphs import generate_random_regular, read_edge_list, read_graph6, write_graph6
 from irrstrength.lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
@@ -108,6 +108,20 @@ class TestGen:
         rc = main(["gen", "--n", "10", "--d", "3", "--seed", "1", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_retry_exhaustion_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a RetryExhausted that escapes the subcommand meets main's exit-2 handler
+        message = "no simple 4-regular graph on 6 vertices in 200 pairing attempts"
+
+        def exhausted(*args, **kwargs):
+            raise RetryExhausted(message, attempts=200)
+
+        monkeypatch.setattr(cli, "generate_random_regular", exhausted)
+        out = tmp_path / "g.txt"
+        rc = main(["gen", "--n", "6", "--d", "4", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

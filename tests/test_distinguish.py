@@ -20,10 +20,12 @@ from irrstrength.distinguish import (
     _endgame_general,
     _Pass,
     _settle_endgame_vertex,
+    _split_row,
     pair_low,
 )
 from irrstrength.labeling import Budgets
 from tests import distinguish_reference
+from tests.test_graphs import edge_id
 from tests.test_labeling import make_partition
 
 
@@ -40,9 +42,7 @@ def budgets_with_m(m: int) -> Budgets:
 def tuned_state(g: Graph, part, weight_map: dict[tuple[int, int], int]) -> WeightingState:
     w = np.zeros(g.num_edges, dtype=np.int64)
     for (u, v), wt in weight_map.items():
-        eid = g.edge_between(u, v)
-        assert eid is not None
-        w[eid] = wt
+        w[edge_id(g, u, v)] = wt
     sigma = weighted_degrees(g, w)
     return WeightingState(
         stage="tuned",
@@ -73,6 +73,15 @@ class TestPairOf:
         with pytest.raises(ParameterError):
             pair_low(3, 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**6, 10**6), st.integers(1, 50))
+    def test_low_end_is_never_the_unsettled_mark(self, value, m):
+        low = pair_low(value, m)
+        assert value in (low, low + m)
+        assert (low // m) % 2 == 0
+        # the pass marks an unsettled vertex by anchor_low -1
+        assert low != -1
+
 
 class TestRunDistinguishingTriangle:
     """One triangle component inside U, small enough to trace by hand."""
@@ -98,13 +107,13 @@ class TestRunDistinguishingTriangle:
         assert diag.multi_pair_count == 0
         # the endgame edge keeps the value it was given: its later
         # moves all skip it
-        assert state.weights[g.edge_between(3, 4)] == 0
+        assert state.weights[edge_id(g, 3, 4)] == 0
 
     def test_control_edge_weight_window(self):
         g, part, state = self.build()
         m = 2
         diag = run_distinguishing(g, part, budgets_with_m(m), state, empirical())
-        u_eids = [g.edge_between(*e) for e in [(3, 4), (3, 5), (4, 5)]]
+        u_eids = [edge_id(g, *e) for e in [(3, 4), (3, 5), (4, 5)]]
         w = state.weights[u_eids]
         assert w.min() >= 0 and w.max() <= 3 * m
         assert diag.min_increment == int(w.min())
@@ -116,7 +125,7 @@ class TestRunDistinguishingTriangle:
         assert int(state.mod_count.max()) <= 2
         # cross and inner edges are never touched by this stage
         for e in [(0, 1), (0, 3), (1, 4), (2, 5)]:
-            assert state.mod_count[g.edge_between(*e)] == 0
+            assert state.mod_count[edge_id(g, *e)] == 0
 
     def test_v0_degrees_frozen(self):
         g, part, state = self.build()
@@ -169,7 +178,7 @@ class TestSmallComponents:
         assert diag.endgame_vertices == [3, 2]
         # the edge's endgame value lies in [0, m] and is the only weight
         # either endpoint gains inside U
-        w = int(state.weights[g.edge_between(2, 3)])
+        w = int(state.weights[edge_id(g, 2, 3)])
         assert w in (0, 1, 2)
         s2, s3 = int(state.sigma[2]), int(state.sigma[3])
         assert (s2, s3) == (30 + w, 40 + w)
@@ -233,8 +242,8 @@ class TestExhaustedInterval:
         part = make_partition(g, [0, 0, 0, 1, 1, 1, 1, 1])
         state = tuned_state(g, part, {(0, 3): 12, (1, 4): 20, (2, 7): 8})
         run_distinguishing(g, part, budgets_with_m(2), state, empirical())
-        assert state.weights[g.edge_between(5, 7)] == 3
-        assert state.mod_count[g.edge_between(2, 7)] == 0
+        assert state.weights[edge_id(g, 5, 7)] == 3
+        assert state.mod_count[edge_id(g, 2, 7)] == 0
         assert state.sigma.tolist() == [12, 20, 8, 12, 20, 3, 2, 13]
 
 
@@ -248,8 +257,7 @@ def hand_pass(g: Graph, part, state: WeightingState, strict: bool, m: int, ancho
         strict=strict,
         m=m,
         class_sizes=part.class_sizes(),
-        analyzed=np.zeros(g.n, dtype=bool),
-        anchor_low=np.zeros(g.n, dtype=np.int64),
+        anchor_low=np.full(g.n, -1, dtype=np.int64),
         class_lows=[set() for _ in range(7)],
         holders={},
     )
@@ -270,7 +278,20 @@ class TestEndgameBranches:
         part = make_partition(g, [1] * 6)
         state = tuned_state(g, part, {})
         ps = hand_pass(g, part, state, False, 4, {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2})
-        assert _endgame_edge_candidates(ps, 0, 1) == [(1, 2), (1, 3), (1, 0), (1, 1), (1, 4)]
+        assert _endgame_edge_candidates(4, ps.multi_pair_lows(), 0, 1) == [(1, 2), (1, 3), (1, 0), (1, 1), (1, 4)]
+
+    def test_neighbor_settled_at_pair_zero_is_a_plus_edge(self):
+        # neighbor 1 is settled at pair 0 (sigma 0, m=2), the value an
+        # unsettled mark of 0 would alias; neighbor 2 is unsettled, so its
+        # edge is forward
+        g = Graph(3, [(0, 1), (0, 2)])
+        part = make_partition(g, [1, 1, 1])
+        state = tuned_state(g, part, {})
+        ps = hand_pass(g, part, state, False, 2, {1: 0})
+        nbrs, eids, b_plus, b_minus = _split_row(ps, 0, ())
+        assert (b_plus, b_minus) == (1, 0)
+        assert nbrs.tolist() == [1, 2]
+        assert eids.tolist() == [edge_id(g, 0, 1), edge_id(g, 0, 2)]
 
     def build_boundary(self, strict: bool):
         # control vertex 0 has analyzed neighbors 1 (sigma 100, the low end
@@ -287,7 +308,7 @@ class TestEndgameBranches:
         g, state, ps = self.build_boundary(strict=False)
         assert _settle_endgame_vertex(ps, 0, set(), set()) == 36
         assert state.sigma[:3].tolist() == [38, 100, 200]
-        assert state.weights[g.edge_between(0, 2)] == 8
+        assert state.weights[edge_id(g, 0, 2)] == 8
 
     def test_boundary_candidate_refused_in_strict_mode(self):
         # k = -b_minus is not an interior progression point
@@ -327,8 +348,8 @@ class TestEndgameBranches:
         # highest plus edge (to 41), and u0 keeps its degree
         g, state, ps = self.build_congruent(20)
         _endgame_general(ps, 1, 0)
-        assert state.weights[g.edge_between(0, 1)] == 99
-        assert state.weights[g.edge_between(1, 41)] == 1
+        assert state.weights[edge_id(g, 0, 1)] == 99
+        assert state.weights[edge_id(g, 1, 41)] == 1
         assert state.sigma[[0, 1, 41]].tolist() == [859, 100, 39]
         assert ps.anchor_low[[0, 1]].tolist() == [858, 100]
 
@@ -372,7 +393,7 @@ class TestSeparationChecks:
 
     def test_c_detects_moved_degree(self):
         g, part, state = self.build({0: 5, 1: 6, 2: 10, 3: 20})
-        eid = g.edge_between(1, 2)
+        eid = edge_id(g, 1, 2)
         state.weights[eid] += 3
         state.sigma[1] += 3
         state.sigma[2] += 3

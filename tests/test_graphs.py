@@ -33,6 +33,14 @@ from irrstrength.seeds import derive_seed
 from tests import pairing_reference, reader_reference
 
 
+def edge_id(g: Graph, u: int, v: int) -> int:
+    """The id of the edge joining u and v, through ``graphs.edge_lookup``;
+    fails when they are not adjacent."""
+    (eid,) = graphs.edge_lookup(g)([u], [v]).tolist()
+    assert eid >= 0, f"no edge ({u},{v})"
+    return eid
+
+
 def cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -105,17 +113,16 @@ class TestGraphBasics:
             for u in nbrs:
                 assert v in g.neighbors(u)
 
-    def test_edge_between(self):
+    def test_edge_lookup(self):
         g = cycle(5)
-        eid = g.edge_between(0, 4)
-        assert eid is not None and set(g.edges[eid]) == {0, 4}
-        assert g.edge_between(0, 2) is None
+        eid, missing = graphs.edge_lookup(g)([4, 0], [0, 2]).tolist()
+        assert set(g.edges[eid]) == {0, 4}
+        assert missing == -1
 
-    def test_edge_between_out_of_range_ids(self):
+    def test_edge_lookup_out_of_range_ids(self):
         # -1 * 5 + 6 is the key of edge (0, 1), which ids outside 0..n-1
         # used to alias
         g = Graph(5, [(0, 1)])
-        assert g.edge_between(-1, 6) is None
         assert graphs.edge_lookup(g)(np.array([-1, 0]), np.array([6, 1])).tolist() == [-1, 0]
 
     def test_rejects_fractional_endpoints(self):
@@ -480,7 +487,7 @@ class TestComponentOrdering:
         g = generate_random_regular(30, 4, seed=12)
         for order in components_with_order(g):
             if len(order) >= 2:
-                assert g.edge_between(int(order[-1]), int(order[-2])) is not None
+                edge_id(g, int(order[-1]), int(order[-2]))
 
     def test_deterministic_and_sorted_roots(self):
         g = Graph(6, [(4, 5), (0, 1), (2, 3)])
@@ -718,8 +725,8 @@ class TestProperties:
         assert imap.new_to_old.tolist() == kept
         assert imap.old_to_new.tolist() == [new_id.get(v, -1) for v in range(g.n)]
         assert imap.edge_parent.tolist() == parent_eids
-        for eid, (u, v) in enumerate(sub_edges):
-            assert sub.edge_between(u, v) == eid
+        us, vs = np.array(sub_edges, dtype=np.int64).reshape(-1, 2).T
+        assert graphs.edge_lookup(sub)(us, vs).tolist() == list(range(len(sub_edges)))
 
     @settings(max_examples=200, deadline=None)
     @given(simple_graphs(), st.data())
@@ -739,7 +746,6 @@ class TestProperties:
             eid_of[u, v] = eid_of[v, u] = eid
         pairs = [(a, b) for a in range(-1, n + 1) for b in range(-1, n + 1)]
         want = [eid_of.get(p, -1) for p in pairs]
-        assert [g.edge_between(a, b) for a, b in pairs] == [None if w < 0 else w for w in want]
         us, vs = np.array(pairs).T
         assert graphs.edge_lookup(g)(us, vs).tolist() == want
 

@@ -39,7 +39,7 @@ from irrstrength.labeling import (
 )
 from irrstrength.partition import VertexPartition, sample_partition
 from tests import reader_reference
-from tests.test_graphs import assert_reads_like_reference, ids, row_texts, simple_graphs, text_files
+from tests.test_graphs import assert_reads_like_reference, edge_id, ids, row_texts, simple_graphs, text_files
 from tests.test_partition import regular_graphs
 
 
@@ -295,7 +295,7 @@ class TestInitialWeighting:
         g, part, xa, budgets = tiny_instance()
         xa2 = make_x(g, part, {0: 0.2, 1: 0.4, 2: 0.5})  # 0.2+0.4 < 1
         state = initial_weighting(g, part, xa2, budgets)
-        eid = g.edge_between(0, 1)
+        eid = edge_id(g, 0, 1)
         assert state.weights[eid] == 0
 
     def test_sigma_cache_matches_recompute(self):
@@ -414,7 +414,7 @@ class TestAssignOmegaPrime:
         assert state.sigma.tolist() == [43, 41, 42, 45, 28, 33]
         assert state.stage == "tuned"
         assert state.v0_sigma_at_tuned.tolist() == [43, 41, 42]
-        touched = [g.edge_between(*e) for e in [(0, 3), (1, 4), (2, 3), (2, 5)]]
+        touched = [edge_id(g, *e) for e in [(0, 3), (1, 4), (2, 3), (2, 5)]]
         assert sorted(np.nonzero(state.last_mod_stage == 1)[0].tolist()) == sorted(touched)
         assert np.all(state.mod_count == 0)
         assert rep.sandwich_rate == pytest.approx(1 / 3)

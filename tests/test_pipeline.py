@@ -132,6 +132,19 @@ class TestStageFailures:
         assert [stage for stage, _ in res.timings] == ["partition", "x", "tuning"]
         assert res.state is None
 
+    def test_parameter_error_inside_a_stage_is_a_failed_run(self, monkeypatch):
+        # the entry checks pass on this input; a stage that then refuses a
+        # parameter ends the run as a failure, not as an exception
+        def refuse(*args, **kwargs):
+            raise ParameterError("boom")
+
+        monkeypatch.setattr(pipeline, "find_partition", refuse)
+        g = generate_random_regular(2000, 40, seed=3)
+        res = run_pipeline(g, empirical(slack=1e6), seed=1)
+        assert not res.success
+        assert (res.failure_stage, res.failure_kind, res.failure_message) == ("stage", "parameter", "boom")
+        assert [stage for stage, _ in res.timings] == ["partition"]
+
     def test_partition_exhaustion_surfaces(self):
         g = generate_random_regular(100, 10, seed=3)
         res = run_pipeline(g, empirical(retries=2), seed=1)

@@ -136,3 +136,31 @@ def test_runtime_private_names_are_used():
                 used.update(alias.name for alias in node.names)
     dead = sorted(f"{where} defines {name}" for name, where in defined.items() if name not in used)
     assert not dead, dead
+
+
+def test_public_names_have_a_user_outside_the_tests():
+    # a public function, class or method that neither the package, the
+    # benchmark harness nor the README's code uses is dead code; the
+    # README lists every export, so an export counts as used
+    package = sorted((ROOT / "src" / "irrstrength").rglob("*.py"))
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in [*package, ROOT / "perfbench" / "run.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in package:
+            for node in tree.body:
+                members = node.body if isinstance(node, ast.ClassDef) else []
+                for defn in [node, *members]:
+                    if isinstance(defn, (ast.FunctionDef, ast.ClassDef)) and not defn.name.startswith("_"):
+                        defined[defn.name] = f"{path.name}:{defn.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    # the README's code: its fenced blocks and its inline code spans
+    pieces = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
+    code = pieces[1::2] + [span for prose in pieces[::2] for span in re.findall(r"`([^`\n]+)`", prose)]
+    used.update(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    dead = sorted(f"{where} defines {name}" for name, where in defined.items() if name not in used)
+    assert not dead, dead

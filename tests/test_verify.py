@@ -19,6 +19,7 @@ from irrstrength import (
 from irrstrength.labeling import Budgets
 from irrstrength.verify import _degree_sums_admit, _feasible_with, _search_order
 from tests.test_distinguish import tuned_state
+from tests.test_graphs import edge_id
 from tests.test_labeling import make_partition
 
 
@@ -252,7 +253,7 @@ class TestExactStrength:
         g = cycle(5)
         alt = np.zeros(5, dtype=np.int64)
         for (u, v), wt in zip([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [1, 1, 2, 3, 3]):
-            alt[g.edge_between(u, v)] = wt
+            alt[edge_id(g, u, v)] = wt
         assert is_irregular(g, alt).irregular
         assert sorted(weighted_degrees(g, alt).tolist()) == [2, 3, 4, 5, 6]
         assert alt.max() == 3
