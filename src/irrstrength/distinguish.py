@@ -169,7 +169,6 @@ def _process_vertex(ps: _Pass, v: int) -> None:
                 f"vertex {v}: achievable range size {d_u * m + 1} does not exceed "
                 f"2|class| = {2 * size_i}, so collision-free choice is not guaranteed"
             ),
-            witness={"vertex": v, "d_u": d_u, "required_over": 2 * size_i},
         )
 
     # the pairs partition the integers, so a value is blocked exactly when its pair is
@@ -186,7 +185,6 @@ def _process_vertex(ps: _Pass, v: int) -> None:
                 f"vertex {v}: every value in [{lo}, {hi}] collides with a pair set "
                 f"already assigned in its class ({blocked} blocked values)"
             ),
-            witness={"vertex": v, "lo": lo, "hi": hi, "blocked": blocked},
         )
 
     off = target - sigma_cur
@@ -244,7 +242,6 @@ def _settle_endgame_vertex(
                 f"endgame vertex {v}: no admissible value in its progression of "
                 f"{b_plus + b_minus + 1} options avoids the blocked sets"
             ),
-            witness={"vertex": v, "options": b_plus + b_minus + 1},
         )
 
     # the edge to a holder of the chosen pair leaves the row; eff_plus/eff_minus count the rest
@@ -284,7 +281,6 @@ def _check_endgame_thresholds(ps: _Pass, u1: int, u0: int, d_u1: int, d_u0: int)
                 f"{d_u1} and {d_u0 - 1} fall below the required {_MIN_OPTIONS_LAST_BUT_ONE} "
                 f"and {_MIN_OPTIONS_LAST}"
             ),
-            witness={"last_but_one": u1, "last": u0, "options": (d_u1, d_u0 - 1)},
         )
 
 
@@ -314,7 +310,6 @@ def _endgame_general(ps: _Pass, u1: int, u0: int) -> None:
                 f"endgame edge ({u1},{u0}): best value still meets {c_max} multiply-assigned "
                 f"pair sets per residue, above the allowed {_MAX_CONGRUENT_MULTI_PAIRS}"
             ),
-            witness={"edge": (u1, u0), "count": c_max},
         )
     _apply_edge_deltas(ps, u0, nbrs0[star], eids0[star], wv - m)
 
@@ -358,7 +353,6 @@ def _endgame_two_vertex(ps: _Pass, u1: int, u0: int) -> None:
             f"two-vertex component ({u1},{u0}): none of the {m + 1} edge values "
             "avoids all blocked sets for both endpoints"
         ),
-        witness={"component": (u1, u0)},
     )
 
 
@@ -375,7 +369,6 @@ def _process_isolated(ps: _Pass, v: int) -> None:
                 f"isolated control vertex {v} carries degree {sigma_v}, which is "
                 "already taken and has no edges to adjust"
             ),
-            witness={"vertex": v, "sigma": sigma_v},
         )
     ps.register(v, low)
 

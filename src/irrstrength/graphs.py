@@ -37,6 +37,8 @@ _WORD_BLOCK = 1 << 15  # 64-bit words per block in _edges_of
 # attempt on a worker thread: G(10, 3) took 2.2 ms a call that way against
 # 0.4 ms without, and the two broke even near 2^18 stubs
 _PREFETCH_STUBS = 1 << 18
+_MAX_ATTEMPTS = 200  # pairing attempts generate_random_regular makes before it gives up
+_MAX_ROUNDS = 200  # shuffle-and-pair rounds per attempt before the attempt dies
 
 
 class Graph:
@@ -461,13 +463,16 @@ def _check_regular_args(n: int, d: int) -> None:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
 
 
-def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) -> Graph:
+def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a d-regular simple graph on n vertices via stub pairing.
 
     Each attempt pairs the n*d stubs in shuffled batches, keeps the pairs
     that form new simple edges, and recycles the rest; an attempt dies
     when the leftover stubs provably admit no further edge (or a round
-    cap is hit), and a fresh attempt restarts from its own derived seed.
+    cap of ``_MAX_ROUNDS`` = 200 is hit), and a fresh attempt restarts
+    from its own derived seed. After ``_MAX_ATTEMPTS`` = 200 dead attempts
+    it raises RetryExhausted.
+
     The first shuffle of attempt k+1 depends on its seed alone, so for
     n*d of at least ``_PREFETCH_STUBS`` one worker thread makes it while
     attempt k pairs. The worker is joined before the call returns; a
@@ -489,23 +494,20 @@ def generate_random_regular(n: int, d: int, seed: int, max_attempts: int = 200) 
         return Graph(n)
     if d == n - 1:
         return Graph(n, np.column_stack(np.triu_indices(n, 1)))
-    edges = _first_pairing(n, d, seed, max_attempts)
+    edges = _first_pairing(n, d, seed)
     if edges is None:
-        raise RetryExhausted(
-            f"no simple {d}-regular graph on {n} vertices in {max_attempts} pairing attempts",
-            attempts=max_attempts,
-        )
+        raise RetryExhausted(f"no simple {d}-regular graph on {n} vertices in {_MAX_ATTEMPTS} pairing attempts")
     return Graph(n, edges)
 
 
-def _first_pairing(n: int, d: int, seed: int, max_attempts: int) -> np.ndarray | None:
-    """The edges of the first of ``max_attempts`` pairing attempts that
+def _first_pairing(n: int, d: int, seed: int) -> np.ndarray | None:
+    """The edges of the first of ``_MAX_ATTEMPTS`` pairing attempts that
     succeeds, or None; every stub array is freed when it returns."""
     ahead = None
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for attempt in range(max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             head = ahead
-            prefetch = attempt + 1 < max_attempts and n * d >= _PREFETCH_STUBS
+            prefetch = attempt + 1 < _MAX_ATTEMPTS and n * d >= _PREFETCH_STUBS
             ahead = pool.submit(_first_shuffle, n, d, seed, attempt + 1) if prefetch else None
             rng, stubs = _first_shuffle(n, d, seed, attempt) if head is None else head.result()
             del head
@@ -528,18 +530,16 @@ def _first_shuffle(n: int, d: int, seed: int, attempt: int) -> tuple[np.random.G
     return rng, stubs
 
 
-def _pairing_attempt(
-    n: int, rng: np.random.Generator, stubs: np.ndarray, max_rounds: int = 200
-) -> np.ndarray | None:
+def _pairing_attempt(n: int, rng: np.random.Generator, stubs: np.ndarray) -> np.ndarray | None:
     """Pair ``stubs``, which ``rng`` has shuffled once, in at most
-    ``max_rounds`` rounds; the edges in canonical order, or None if the
+    ``_MAX_ROUNDS`` rounds; the edges in canonical order, or None if the
     attempt dies."""
     num_edges = stubs.size // 2
     # bit k of ``seen`` marks the accepted edge with key k = lo*n + hi, so
     # its set bits are the attempt's edges, in canonical order; it is
     # padded to whole 64-bit words for _edges_of
     seen = np.zeros(-(-n * n // 64) * 8, dtype=np.uint8)
-    for rounds in range(max_rounds):
+    for rounds in range(_MAX_ROUNDS):
         if stubs.size == 0:
             return _edges_of(seen, n, num_edges)
         if rounds:

@@ -331,13 +331,6 @@ def tuning_deltas(
                 f"needed {int(deltas[j])}, capacity window [0, {int(capacities[j])}] "
                 f"({int(np.count_nonzero(bad))} positions violate in total)"
             ),
-            witness={
-                "j": j + 1,
-                "vertex": v,
-                "delta": int(deltas[j]),
-                "capacity": int(capacities[j]),
-                "violations": int(np.count_nonzero(bad)),
-            },
         )
     return targets, deltas
 
@@ -402,7 +395,6 @@ def assign_omega_prime(
                 f"V0 weighted degrees reach {max_v0}, not below the U minimum {min_u}; "
                 "the asymptotic ordering between V0 and U does not hold at this size"
             ),
-            witness=report,
         )
     return report
 

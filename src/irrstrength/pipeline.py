@@ -246,7 +246,7 @@ def run_pipeline(g: Graph, params: PipelineParams, seed: int) -> PipelineResult:
                 f"max label {ver.max_label} exceeds the cap {budgets.label_cap()}",
             )
     except StageFailure as exc:
-        return result.failed(exc.stage, exc.kind, exc.message)
+        return result.failed(exc.stage, exc.kind, str(exc))
     except ParameterError as exc:
         return result.failed("stage", "parameter", str(exc))
 

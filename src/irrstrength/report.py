@@ -128,5 +128,4 @@ def las_vegas(
         stage=stage,
         kind=f"{stage}_conditions",
         message=f"no {goal} in {max_retries + 1} attempts; tightest: {report.worst().line()}",
-        witness=report,
     )

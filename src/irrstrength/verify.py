@@ -11,6 +11,8 @@ from .errors import ParameterError
 from .graphs import Graph, weighted_degrees
 from .labeling import STAGE_DISTINGUISHED, STAGE_FINAL, Budgets, WeightingState
 
+_MAX_EDGES = 20  # the most edges exact_strength searches
+
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -213,21 +215,19 @@ def _degree_sums_admit(n: int, d: int, k: int) -> bool:
     return low + low % 2 <= high
 
 
-def exact_strength(g: Graph, k_max: int = 16, max_edges: int = 20) -> ExactStrengthResult:
+def exact_strength(g: Graph, k_max: int = 16) -> ExactStrengthResult:
     """Least k admitting an irregular weighting with labels in {1..k},
     by iterative deepening; on a regular graph, a level that the sum of
     the weighted degrees rules out is skipped without a search.
 
     Exceeding ``k_max`` is an answer ("> k_max"), not an error. A
-    ``k_max`` below 1 and graphs beyond ``max_edges`` edges are refused
-    up front.
+    ``k_max`` below 1 and graphs beyond ``_MAX_EDGES`` = 20 edges are
+    refused up front.
     """
     if k_max < 1:
         raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    if g.num_edges > max_edges:
-        raise ParameterError(
-            f"exact solver guard: {g.num_edges} edges exceeds the limit of {max_edges}"
-        )
+    if g.num_edges > _MAX_EDGES:
+        raise ParameterError(f"exact solver guard: {g.num_edges} edges exceeds the limit of {_MAX_EDGES}")
     _strength_defined(g)
     if g.num_edges == 0:
         return ExactStrengthResult(

@@ -240,7 +240,6 @@ def _process_vertex(ctx: _Ctx, st: _AlgoState, v: int) -> None:
                 f"vertex {v}: achievable range size {d_u * m + 1} does not exceed "
                 f"2|class| = {2 * size_i}, so collision-free choice is not guaranteed"
             ),
-            witness={"vertex": v, "d_u": d_u, "required_over": 2 * size_i},
         )
 
     forbidden = st.class_values[klass - 1]
@@ -255,7 +254,6 @@ def _process_vertex(ctx: _Ctx, st: _AlgoState, v: int) -> None:
                 f"vertex {v}: every value in [{lo}, {hi}] collides with a pair set "
                 f"already assigned in its class ({len(forbidden)} blocked values)"
             ),
-            witness={"vertex": v, "lo": lo, "hi": hi, "blocked": len(forbidden)},
         )
 
     off = target - sigma_cur
@@ -329,7 +327,6 @@ def _settle_endgame_vertex(
                 f"endgame vertex {v}: no admissible value in its progression of "
                 f"{b_plus + b_minus + 1} options avoids the blocked sets"
             ),
-            witness={"vertex": v, "options": b_plus + b_minus + 1},
         )
 
     _realize_coarse(ctx, st, v, chosen_k, plus, minus, avoid_eid=chosen_avoid)
@@ -371,7 +368,6 @@ def _check_endgame_thresholds(ctx: _Ctx, u1: int, u0: int, d_u1: int, d_u0: int)
                 f"{d_u1} and {d_u0 - 1} fall below the required {_MIN_OPTIONS_LAST_BUT_ONE} "
                 f"and {_MIN_OPTIONS_LAST}"
             ),
-            witness={"last_but_one": u1, "last": u0, "options": (d_u1, d_u0 - 1)},
         )
 
 
@@ -396,7 +392,6 @@ def _endgame_general(ctx: _Ctx, st: _AlgoState, u1: int, u0: int, size: int) -> 
                 f"endgame edge ({u1},{u0}): best value still meets {c_max} multiply-assigned "
                 f"pair sets per residue, above the allowed {_MAX_CONGRUENT_MULTI_PAIRS}"
             ),
-            witness={"edge": (u1, u0), "count": c_max},
         )
     _apply_edge_deltas(ctx, st, u1, u0, e_star, wv - m)
 
@@ -452,7 +447,6 @@ def _endgame_two_vertex(ctx: _Ctx, st: _AlgoState, u1: int, u0: int) -> Componen
             f"two-vertex component ({u1},{u0}): none of the {m + 1} edge values "
             "avoids all blocked sets for both endpoints"
         ),
-        witness={"component": (u1, u0)},
     )
 
 
@@ -470,7 +464,6 @@ def _process_isolated(ctx: _Ctx, st: _AlgoState, v: int) -> ComponentRecord:
                 f"isolated control vertex {v} carries degree {sigma_v}, which is "
                 "already taken and has no edges to adjust"
             ),
-            witness={"vertex": v, "sigma": sigma_v},
         )
     st.register(v, klass, pair, sigma_v)
     st.endgame.append(v)

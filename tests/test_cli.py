@@ -115,7 +115,7 @@ class TestGen:
         message = "no simple 4-regular graph on 6 vertices in 200 pairing attempts"
 
         def exhausted(*args, **kwargs):
-            raise RetryExhausted(message, attempts=200)
+            raise RetryExhausted(message)
 
         monkeypatch.setattr(cli, "generate_random_regular", exhausted)
         out = tmp_path / "g.txt"

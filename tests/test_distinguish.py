@@ -166,7 +166,7 @@ class TestSmallComponents:
         with pytest.raises(StageFailure) as exc:
             run_distinguishing(g, part, budgets_with_m(2), state, empirical())
         assert exc.value.kind == "kkp_no_option"
-        assert "isolated control vertex 3" in exc.value.message
+        assert "isolated control vertex 3" in str(exc.value)
 
     def test_two_vertex_component_empirical(self):
         g = Graph(4, [(0, 2), (1, 3), (2, 3)])
@@ -205,7 +205,10 @@ class TestSmallComponents:
         with pytest.raises(StageFailure) as exc:
             run_distinguishing(g, part, budgets_with_m(3), state, PipelineParams(b=1.0, eps=1 / 12))
         assert exc.value.kind == "kkp_threshold"
-        assert exc.value.witness == {"last_but_one": 1, "last": 0, "options": (2, 1)}
+        assert str(exc.value) == (
+            "endgame of component with last vertices (1, 0): option counts 2 and 1 "
+            "fall below the required 45 and 47"
+        )
 
     def test_empty_control_set(self):
         g = Graph(3, [(0, 1), (1, 2)])
@@ -231,8 +234,10 @@ class TestExhaustedInterval:
             run_distinguishing(g, part, budgets_with_m(1), state, empirical())
         err = exc.value
         assert err.kind == "kkp_no_option"
-        assert "vertex 7" in err.message
-        assert err.witness["lo"] == 10 and err.witness["hi"] == 12
+        assert str(err) == (
+            "vertex 7: every value in [10, 12] collides with a pair set already "
+            "assigned in its class (4 blocked values)"
+        )
 
     def test_fine_step_takes_a_u_edge(self):
         # an isolated control vertex holds pair {12,14}, so vertex 7 (at
@@ -336,11 +341,10 @@ class TestEndgameBranches:
             _endgame_general(ps, 1, 0)
         err = exc.value
         assert err.kind == "kkp_threshold"
-        assert err.message == (
+        assert str(err) == (
             "endgame edge (1,0): best value still meets 21 multiply-assigned pair sets "
             "per residue, above the allowed 20"
         )
-        assert err.witness == {"edge": (1, 0), "count": 21}
         assert np.array_equal(state.weights, before)
 
     def test_endgame_edge_taken_at_twenty_congruent_multi_pairs(self):
@@ -459,7 +463,7 @@ def _outcome(run, case, params: PipelineParams):
     try:
         diag = run(g, part, budgets_with_m(m), state, params)
     except StageFailure as exc:
-        result = ("failure", exc.stage, exc.kind, exc.message, exc.witness)
+        result = ("failure", exc.stage, exc.kind, str(exc))
     else:
         result = ("diagnostics", {k: v for k, v in vars(diag).items() if k != "records"})
     arrays = (state.weights, state.sigma, state.mod_count, state.last_mod_stage)

@@ -9,10 +9,18 @@ rejected Las Vegas attempt leaks into the accepted one. The reference
 graph itself is pinned by its edge digest. The benchmark's goldens hold
 no digest of the modification arrays, so those of the two weighted
 seeds are pinned here.
+
+No seed passes the separation checks at this size, so the tail of
+``run_pipeline`` (the final shift, the verifier and the ``verification``
+and ``bound`` failure kinds) is run here with one stand-in:
+``irrstrength.pipeline.separation_checks`` is patched to return a report
+of no checks, which passes. Everything after it is the real code, and
+the bound test also patches ``irrstrength.pipeline.finalize_and_check``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -20,9 +28,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irrstrength import PipelineParams, generate_random_regular, run_pipeline
+from irrstrength import PipelineParams, generate_random_regular, run_pipeline, write_edge_list
+from irrstrength import pipeline
+from irrstrength.cli import main
+from irrstrength.report import ConditionReport
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+PARAMS = PipelineParams(b=0.2, eps=0.05, mode="empirical")
 
 
 def sha256(data: bytes) -> str:
@@ -58,10 +70,71 @@ MODIFICATIONS = {
 def test_pipeline_matches_goldens(reference_graph, seed, keys):
     want = json.loads(GOLDENS.read_text(encoding="utf-8"))["pipeline_5000"][str(seed)]
     assert set(want) == keys
-    res = run_pipeline(reference_graph, PipelineParams(b=0.2, eps=0.05, mode="empirical"), seed=seed)
+    res = run_pipeline(reference_graph, PARAMS, seed=seed)
     got = {"report": sha256(res.to_text().encode("utf-8"))}
     if "weights" in want:
         want = {**want, **MODIFICATIONS[seed]}
         for name in ("weights", "sigma", "mod_count", "last_mod_stage"):
             got[name] = sha256(np.ascontiguousarray(getattr(res.state, name), dtype="<i8").tobytes())
     assert got == want
+
+
+@pytest.fixture
+def separated(monkeypatch):
+    """Let every run past the separation checks, into the verify stage."""
+    monkeypatch.setattr(pipeline, "separation_checks", lambda *args: ConditionReport())
+
+
+STAGES = ["partition", "x", "tuning", "distinguish", "separation", "verify"]
+COLLISIONS = {
+    # the weighting after the +1 shift: labels 1..30 with label_cap 30, so
+    # the label bound holds and only irregularity fails
+    0: ("weighted degrees collide at pair (3,4521)", "e968086c73780026f942641d690fe1d91d4384ab6cc3800f1ca163b0a57f0fda"),
+    2: ("weighted degrees collide at pair (0,2134)", "38e1633a2a5df0e81e0b9f65cbdb6c809a74d6e2351c9b1c6ce464c841caa0b2"),
+}
+
+
+def verification_digest(report: str) -> str:
+    """The digest of a report's ``verification.`` lines."""
+    lines = "".join(line + "\n" for line in report.splitlines() if line.startswith("verification."))
+    return sha256(lines.encode("utf-8"))
+
+
+@pytest.mark.parametrize("seed", sorted(COLLISIONS))
+def test_verify_stage_reports_a_collision(reference_graph, separated, seed):
+    res = run_pipeline(reference_graph, PARAMS, seed=seed)
+    message, digest = COLLISIONS[seed]
+    assert (res.success, res.failure_stage, res.failure_kind, res.failure_message) == (
+        False, "verification", "verification", message,
+    )
+    assert verification_digest(res.to_text()) == digest
+    assert res.verification.max_label == res.budgets.label_cap() == 30
+    assert [stage for stage, _ in res.timings] == STAGES
+
+
+def test_verify_stage_reports_the_label_bound(reference_graph, separated, monkeypatch):
+    # the real result collides, and irregularity is checked first, so the
+    # stand-in also clears the collision to reach the bound branch
+    real = pipeline.finalize_and_check
+
+    def over_the_cap(*args):
+        return dataclasses.replace(real(*args), irregular=True, witness=None, bound_ok=False)
+
+    monkeypatch.setattr(pipeline, "finalize_and_check", over_the_cap)
+    res = run_pipeline(reference_graph, PARAMS, seed=0)
+    assert (res.success, res.failure_stage, res.failure_kind, res.failure_message) == (
+        False, "verification", "bound", "max label 30 exceeds the cap 30",
+    )
+    assert [stage for stage, _ in res.timings] == STAGES
+
+
+def test_weight_writes_no_weights_when_verification_fails(reference_graph, separated, tmp_path, capsys):
+    graph, weights = tmp_path / "g.txt", tmp_path / "w.csv"
+    write_edge_list(reference_graph, graph)
+    rc = main(["weight", "--graph", str(graph), "--b", "0.2", "--eps", "0.05", "--mode", "empirical",
+               "--seed", "0", "--out-weights", str(weights)])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "failure.kind=verification\n" in out
+    assert verification_digest(out) == COLLISIONS[0][1]
+    assert not weights.exists()

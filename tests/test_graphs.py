@@ -286,12 +286,12 @@ class TestGeneration:
         g = generate_random_regular(5, 0, seed=1)
         assert g.num_edges == 0
 
-    def test_attempt_budget_exhausts(self):
-        with pytest.raises(RetryExhausted) as exc:
-            generate_random_regular(6, 4, seed=5, max_attempts=0)
-        assert exc.value.attempts == 0
+    def test_attempt_budget_exhausts(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MAX_ATTEMPTS", 0)
+        with pytest.raises(RetryExhausted, match="no simple 4-regular graph on 6 vertices in 0 pairing attempts"):
+            generate_random_regular(6, 4, seed=5)
         # like d = 0, d = n - 1 spends no pairing attempt
-        assert generate_random_regular(6, 5, seed=5, max_attempts=0).num_edges == 15
+        assert generate_random_regular(6, 5, seed=5).num_edges == 15
 
     def test_dense_cases_succeed(self):
         for n, d in [(6, 5), (10, 9), (12, 10)]:
@@ -379,8 +379,8 @@ class TestGeneration:
         generate_random_regular(60, 5, seed=3)
         assert workers - before, "no attempt was shuffled on a worker"
         assert set(threading.enumerate()) == before
-        with pytest.raises(RetryExhausted):
-            generate_random_regular(12, 10, seed=2, max_attempts=3)
+        with mock.patch.object(graphs, "_MAX_ATTEMPTS", 3), pytest.raises(RetryExhausted):
+            generate_random_regular(12, 10, seed=2)
         assert set(threading.enumerate()) == before
         self.failing_prefetch(monkeypatch)
         with pytest.raises(MemoryError):
@@ -392,7 +392,8 @@ class TestGeneration:
     def test_pairing_matches_reference(self, case, seed, max_rounds):
         n, d = case
         for attempt in range(3):
-            got = graphs._pairing_attempt(n, *graphs._first_shuffle(n, d, seed, attempt), max_rounds)
+            with mock.patch.object(graphs, "_MAX_ROUNDS", max_rounds):
+                got = graphs._pairing_attempt(n, *graphs._first_shuffle(n, d, seed, attempt))
             rng = np.random.default_rng(derive_seed(seed, "pairing", attempt))
             want = pairing_reference._pairing_attempt(n, d, rng, max_rounds)
             if want is None:
@@ -415,12 +416,12 @@ class TestGeneration:
             # the complete graph comes without pairing, even where every attempt fails
             want = complete_edges(n)
         # every attempt after the first is shuffled ahead on the worker
-        with mock.patch.object(graphs, "_PREFETCH_STUBS", 0):
+        with mock.patch.object(graphs, "_PREFETCH_STUBS", 0), mock.patch.object(graphs, "_MAX_ATTEMPTS", max_attempts):
             if want is None:
                 with pytest.raises(RetryExhausted):
-                    generate_random_regular(n, d, seed, max_attempts=max_attempts)
+                    generate_random_regular(n, d, seed)
             else:
-                got = generate_random_regular(n, d, seed, max_attempts=max_attempts)
+                got = generate_random_regular(n, d, seed)
                 assert np.array_equal(got.edges, Graph(n, want).edges)
 
 

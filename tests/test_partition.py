@@ -200,14 +200,12 @@ class TestFindPartition:
         assert err.kind == "partition_conditions"
         # the witness prints numpy scalars, whose repr differs between numpy 1 and 2
         dev = np.float64(1.7268596875152702)
-        assert err.message == (
+        assert str(err) == (
             "no partition met conditions (1°)-(2°) in 4 attempts; tightest: "
             "(2°) per-class degree window: FAIL measured=1.7268596875152702 "
             "bound=0.04048822115108007 witness[v=0 i=4 |2 - 0.2731403124847297| = "
             f"{dev!r} > 0.04048822115108007]"
         )
-        assert err.witness.worst() is not None
-        assert err.witness.worst().cond == "(2°)"
 
     def test_deterministic_resampling(self):
         g = generate_random_regular(200, 10, seed=4)

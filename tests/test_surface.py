@@ -5,6 +5,8 @@ more."""
 from __future__ import annotations
 
 import ast
+import inspect
+import math
 import re
 import shlex
 import sys
@@ -25,6 +27,12 @@ def resolve(dotted: str) -> object:
 def readme_section(title: str) -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_code() -> list[str]:
+    """The README's code: its fenced blocks and its inline code spans."""
+    pieces = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
+    return pieces[1::2] + [span for prose in pieces[::2] for span in re.findall(r"`([^`\n]+)`", prose)]
 
 
 def test_all_is_sorted_without_duplicates():
@@ -158,9 +166,43 @@ def test_public_names_have_a_user_outside_the_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    # the README's code: its fenced blocks and its inline code spans
-    pieces = (ROOT / "README.md").read_text(encoding="utf-8").split("```")
-    code = pieces[1::2] + [span for prose in pieces[::2] for span in re.findall(r"`([^`\n]+)`", prose)]
-    used.update(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    used.update(re.findall(r"[A-Za-z_]\w*", " ".join(readme_code())))
     dead = sorted(f"{where} defines {name}" for name, where in defined.items() if name not in used)
     assert not dead, dead
+
+
+def test_exported_defaults_are_passed_outside_the_tests():
+    # a defaulted parameter of an exported function that no call in the
+    # package, the benchmark harness or the README's code passes is a
+    # setting only the tests set: it belongs in a module constant that the
+    # tests patch. Each default maps to its position, or inf if keyword-only
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    defaults: dict[str, dict[str, float]] = {}
+    for name in irrstrength.__all__:
+        func = getattr(irrstrength, name)
+        if inspect.isfunction(func):
+            params = inspect.signature(func).parameters.values()
+            defaults[name] = {
+                p.name: i if p.kind in positional else math.inf
+                for i, p in enumerate(params)
+                if p.default is not p.empty
+            }
+    paths = [*sorted((ROOT / "src" / "irrstrength").rglob("*.py")), ROOT / "perfbench" / "run.py"]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    for snippet in readme_code():
+        try:
+            trees.append(ast.parse(snippet))
+        except SyntaxError:  # shell commands and prose spans
+            continue
+    passed: set[tuple[str, str]] = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        for param, pos in defaults.get(callee, {}).items():
+            if starred or pos < len(node.args) or param in keywords or None in keywords:
+                passed.add((callee, param))
+    wanted = {(name, param) for name, params in defaults.items() for param in params}
+    assert wanted <= passed, sorted(wanted - passed)

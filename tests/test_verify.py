@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from irrstrength import (
     regular_lower_bound,
     weighted_degrees,
 )
+from irrstrength import verify
 from irrstrength.labeling import Budgets
 from irrstrength.verify import _degree_sums_admit, _feasible_with, _search_order
 from tests.test_distinguish import tuned_state
@@ -294,7 +297,8 @@ class TestExactStrength:
         g = generate_random_regular(12, 4, seed=5)  # 24 edges
         with pytest.raises(ParameterError, match="edges"):
             exact_strength(g)
-        assert exact_strength(g, max_edges=24).strength is not None
+        with mock.patch.object(verify, "_MAX_EDGES", 24):
+            assert exact_strength(g).strength is not None
 
     def test_empty_graph_strength_one(self):
         res = exact_strength(Graph(1, []))
