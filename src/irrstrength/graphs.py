@@ -57,38 +57,59 @@ class Graph:
             raise ParameterError(f"edge endpoints must be integers, got dtype {raw.dtype}")
         if raw.ndim != 2 or raw.shape[1] != 2:
             raise ParameterError("edges must be a sequence of (u, v) pairs")
+        m = raw.shape[0]
+        if m > np.iinfo(np.int32).max:
+            raise ParameterError(f"edge count {m} exceeds the 32-bit id range")
         if raw.size and (raw.min() < 0 or raw.max() >= n):
             raise ParameterError("edge endpoint outside 0..n-1")
-        # large instances are memory-bound by this constructor, so the
-        # working arrays stay int32 and every transient is dropped before
-        # the next one is made
-        lo = np.minimum(raw[:, 0], raw[:, 1]).astype(np.int32, copy=False)
-        hi = np.maximum(raw[:, 0], raw[:, 1]).astype(np.int32, copy=False)
-        del raw
-        if np.any(lo == hi):
+        if np.any(raw[:, 0] == raw[:, 1]):
             raise ParameterError("self-loops are not allowed")
-        # timsort is adaptive: input already in canonical order, as the
-        # generator, edge-list files and induced subgraphs give it, costs
-        # about one pass
-        order = np.argsort(lo.astype(np.int64) * n + hi, kind="stable")
-        lo, hi = lo[order], hi[order]
-        del order
-        if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+        # large instances are memory-bound by this constructor, so every
+        # transient is dropped before the next one is made. Equal keys are
+        # equal rows, so a plain sort of the keys puts the edges in
+        # canonical order, and a duplicate is two adjacent equal keys.
+        keys = np.minimum(raw[:, 0], raw[:, 1], dtype=np.int64)
+        keys *= n
+        keys += np.maximum(raw[:, 0], raw[:, 1], dtype=np.int64)
+        del raw
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
             raise ParameterError("duplicate edges are not allowed")
-        self.num_edges = int(lo.size)
+        # row v's larger neighbours are the edges (v, w), whose keys lie in
+        # [v·n, v·n + n)
+        above = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n))
+        self.num_edges = m
+        self.edges: np.ndarray = np.empty((m, 2), dtype=np.int32)
+        np.divmod(keys, n, out=(self.edges[:, 0], self.edges[:, 1]), casting="unsafe")
+        del keys
+        lo, hi = self.edges[:, 0], self.edges[:, 1]
 
-        # entry j of [hi, lo] is edge j mod num_edges seen from one end; a
-        # stable sort by that end lists each row's smaller neighbours and
-        # then its larger ones, both ascending by canonical order
-        src = np.concatenate([hi, lo])
-        counts = np.bincount(src, minlength=n)
-        csr_order = np.argsort(src, kind="stable")
-        del src
-        self.indices: np.ndarray = np.concatenate([lo, hi])[csr_order]
-        csr_order[csr_order >= self.num_edges] -= self.num_edges
-        self.edge_ids: np.ndarray = csr_order.astype(np.int32)
-        del csr_order
-        self.edges: np.ndarray = np.stack([lo, hi], axis=1)
+        # row v lists its smaller neighbours, then its larger ones, each
+        # part in canonical order. The larger ones are the run of edges
+        # (v, w). The smaller ones come from one sort of the words
+        # hi << 32 | id, which fit int64 as ids and ends are below 2^31.
+        words = hi.astype(np.int64)
+        words <<= 32
+        words |= np.arange(m, dtype=np.int32)
+        words.sort()
+        below = np.diff(np.searchsorted(words, np.arange(n + 1, dtype=np.int64) << 32))
+        words &= 0xFFFFFFFF
+        below_lo = lo.take(words)
+        below_ids = words.astype(np.int32)
+        del words
+        # True at the slots of each row's smaller neighbours
+        smaller = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
+        self.indices: np.ndarray = np.empty(2 * m, dtype=np.int32)
+        self.indices[smaller] = below_lo
+        del below_lo
+        self.edge_ids: np.ndarray = np.empty(2 * m, dtype=np.int32)
+        self.edge_ids[smaller] = below_ids
+        del below_ids
+        larger = np.logical_not(smaller, out=smaller)
+        self.indices[larger] = hi
+        self.edge_ids[larger] = np.arange(m, dtype=np.int32)
+        del larger, smaller
+        counts = below + above
         self.indptr: np.ndarray = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=self.indptr[1:])
         self.degrees: np.ndarray = counts.astype(np.int32)

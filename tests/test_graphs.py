@@ -5,13 +5,14 @@ import io
 import math
 import re
 import threading
+import tracemalloc
 from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irrstrength import (
@@ -30,7 +31,7 @@ from irrstrength import (
 from irrstrength import graphs
 from irrstrength.labeling import read_weights_csv, write_weights_csv
 from irrstrength.seeds import derive_seed
-from tests import pairing_reference, reader_reference
+from tests import graph_reference, pairing_reference, reader_reference
 
 
 def edge_id(g: Graph, u: int, v: int) -> int:
@@ -128,6 +129,34 @@ class TestGraphBasics:
     def test_rejects_fractional_endpoints(self):
         with pytest.raises(ParameterError, match="integers"):
             Graph(3, np.array([[0.9, 2.2]]))
+
+    def test_refuses_edge_ids_beyond_32_bits(self):
+        # 2^31 rows of a broadcast view: the refusal comes before any pass
+        # over them, so it allocates nothing
+        rows = np.broadcast_to(np.array([0, 1], dtype=np.int32), (2**31, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="edge count 2147483648 exceeds the 32-bit id range"):
+                Graph(2, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_construction_peak_memory_per_edge(self):
+        # the arrays kept take 24 bytes per edge; the plain word sorts
+        # add about 6 more at their peak, where the stable argsorts and
+        # their gathers added 18
+        g = generate_random_regular(2000, 200, seed=7)
+        shuffled = np.random.default_rng(0).permutation(g.edges)
+        for rows in (g.edges, shuffled):
+            tracemalloc.start()
+            try:
+                Graph(g.n, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / g.num_edges < 38
 
     def test_regular_degree(self):
         assert k4().regular_degree() == 3
@@ -560,6 +589,34 @@ def simple_graphs(draw, max_n: int = 14) -> tuple[int, list[tuple[int, int]]]:
 INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 
 
+@st.composite
+def constructor_inputs(draw) -> tuple[int, np.ndarray]:
+    """``(n, rows)`` for ``Graph``: rows of any integer dtype, in canonical
+    order in half the draws, else in any order and orientation with a
+    duplicate, a self-loop or both added now and then. ``n`` is small or
+    at the edges of 16 bits, and the ids drawn are few and fit the dtype,
+    so rows repeat; an id may fall outside 0..n-1."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    n = draw(st.one_of(st.integers(0, 14), st.sampled_from([0, 1, 65535, 65536, 65537])))
+    info = np.iinfo(dtype)
+    top = min(n - 1, int(info.max))
+    inside = [v for v in {0, 1, 2, top - 2, top - 1, top} if 0 <= v <= top]
+    outside = [v for v in (-1, n) if info.min <= v <= info.max]
+    pool = inside + outside if draw(st.integers(0, 9)) == 0 else inside
+    ids = st.sampled_from(pool or [0])
+    rows = draw(st.lists(st.tuples(ids, ids), max_size=12 if pool else 0))
+    if draw(st.booleans()):
+        rows = sorted({(min(u, v), max(u, v)) for u, v in rows if u != v})
+    else:
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows))
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([(u, v), (v, u)])))
+        if inside and draw(st.booleans()):
+            v = draw(st.sampled_from(inside))
+            rows.insert(draw(st.integers(0, len(rows))), (v, v))
+    return n, np.array(rows, dtype=dtype).reshape(-1, 2)
+
+
 def dtype_marks(dtype) -> list[int]:
     """The values of ``dtype`` among its extremes, 0, the powers of ten
     and their neighbours, both signs, and the edges of 32 bits."""
@@ -758,6 +815,26 @@ class TestProperties:
             u, v = data.draw(st.sampled_from(rows))
             with pytest.raises(ParameterError, match="duplicate"):
                 Graph(n, rows + [data.draw(st.sampled_from([(u, v), (v, u)]))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(constructor_inputs())
+    @example((3, np.array([(0, 1), (1, 0), (2, 2)], dtype=np.uint64)))
+    @example((65537, np.array([(65536, 0), (3, 65536), (0, 65536), (5, 5)], dtype=np.int64)))
+    def test_constructor_matches_verbatim_reference(self, case):
+        # every array, its dtype and shape, and every refusal, which for a
+        # row list with a duplicate and a self-loop is the self-loop's
+        n, rows = case
+
+        def outcome(cls) -> object:
+            try:
+                g = cls(n, rows)
+            except ParameterError as exc:
+                return f"refused: {exc}"
+            names = ("edges", "indices", "edge_ids", "indptr", "degrees")
+            arrays = [(getattr(g, name).dtype, getattr(g, name).shape, getattr(g, name).tolist()) for name in names]
+            return g.n, g.num_edges, arrays
+
+        assert outcome(Graph) == outcome(graph_reference.Graph)
 
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs())
