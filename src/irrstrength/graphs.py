@@ -87,7 +87,7 @@ class Graph:
         # row v lists its smaller neighbours, then its larger ones, each
         # part in canonical order. The larger ones are the run of edges
         # (v, w). The smaller ones come from one sort of the words
-        # hi << 32 | id, which fit int64 as ids and ends are below 2^31.
+        # hi << 32 | id, which fit int64 because ids and ends are below 2^31.
         words = hi.astype(np.int64)
         words <<= 32
         words |= np.arange(m, dtype=np.int32)

@@ -144,9 +144,9 @@ class TestGraphBasics:
         assert peak < 1 << 16
 
     def test_construction_peak_memory_per_edge(self):
-        # the arrays kept take 24 bytes per edge; the plain word sorts
-        # add about 6 more at their peak, where the stable argsorts and
-        # their gathers added 18
+        # the arrays kept take 24 bytes per edge and the sorts' transients
+        # about 6 more at their peak; stable argsorts and their gathers
+        # would add 18
         g = generate_random_regular(2000, 200, seed=7)
         shuffled = np.random.default_rng(0).permutation(g.edges)
         for rows in (g.edges, shuffled):
@@ -830,9 +830,8 @@ class TestProperties:
                 g = cls(n, rows)
             except ParameterError as exc:
                 return f"refused: {exc}"
-            names = ("edges", "indices", "edge_ids", "indptr", "degrees")
-            arrays = [(getattr(g, name).dtype, getattr(g, name).shape, getattr(g, name).tolist()) for name in names]
-            return g.n, g.num_edges, arrays
+            arrays = [getattr(g, name) for name in ("edges", "indices", "edge_ids", "indptr", "degrees")]
+            return g.n, g.num_edges, [(a.dtype, a.shape, a.tolist()) for a in arrays]
 
         assert outcome(Graph) == outcome(graph_reference.Graph)
 
