@@ -38,7 +38,7 @@ _WORD_BLOCK = 1 << 15  # 64-bit words per block in _edges_of
 # 0.4 ms without, and the two broke even near 2^18 stubs
 _PREFETCH_STUBS = 1 << 18
 _MAX_ATTEMPTS = 200  # pairing attempts generate_random_regular makes before it gives up
-_MAX_ROUNDS = 200  # shuffle-and-pair rounds per attempt before the attempt dies
+_MAX_ROUNDS = 200  # pairing rounds per attempt; it dies at this cap, or on a last pair it cannot take
 
 
 class Graph:
@@ -488,11 +488,11 @@ def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a d-regular simple graph on n vertices via stub pairing.
 
     Each attempt pairs the n*d stubs in shuffled batches, keeps the pairs
-    that form new simple edges, and recycles the rest; an attempt dies
-    when the leftover stubs provably admit no further edge (or a round
-    cap of ``_MAX_ROUNDS`` = 200 is hit), and a fresh attempt restarts
-    from its own derived seed. After ``_MAX_ATTEMPTS`` = 200 dead attempts
-    it raises RetryExhausted.
+    that form new simple edges, and recycles the rest. An attempt dies
+    when its one leftover pair is a loop or an edge it already has, or
+    when stubs are left after ``_MAX_ROUNDS`` = 200 rounds; a fresh
+    attempt then restarts from its own derived seed. After
+    ``_MAX_ATTEMPTS`` = 200 dead attempts it raises RetryExhausted.
 
     The first shuffle of attempt k+1 depends on its seed alone, so for
     n*d of at least ``_PREFETCH_STUBS`` one worker thread makes it while
@@ -554,7 +554,8 @@ def _first_shuffle(n: int, d: int, seed: int, attempt: int) -> tuple[np.random.G
 def _pairing_attempt(n: int, rng: np.random.Generator, stubs: np.ndarray) -> np.ndarray | None:
     """Pair ``stubs``, which ``rng`` has shuffled once, in at most
     ``_MAX_ROUNDS`` rounds; the edges in canonical order, or None if the
-    attempt dies."""
+    attempt dies: at the round cap, or on a lone leftover pair that it
+    cannot take, since every later shuffle gives that pair back."""
     num_edges = stubs.size // 2
     # bit k of ``seen`` marks the accepted edge with key k = lo*n + hi, so
     # its set bits are the attempt's edges, in canonical order; it is
@@ -575,7 +576,7 @@ def _pairing_attempt(n: int, rng: np.random.Generator, stubs: np.ndarray) -> np.
             take &= ~_has_bits(seen, keys)
         fresh = keys[take]
         if fresh.size == 0:
-            if not _stubs_suitable(stubs, seen, n):
+            if stubs.size == 2:
                 return None
             continue
         fresh.sort()
@@ -661,20 +662,6 @@ def _set_bits(bitset: np.ndarray, keys: np.ndarray) -> None:
     for start in range(0, keys.size, _KEY_BLOCK):
         part = keys[start : start + _KEY_BLOCK]
         np.bitwise_or.at(bitset, part >> 3, _BIT[part & 7])
-
-
-def _stubs_suitable(stubs: np.ndarray, seen: np.ndarray, n: int) -> bool:
-    """True if some pair of leftover stubs can still form a new edge."""
-    distinct = np.unique(stubs)
-    k = distinct.size
-    if k < 2:
-        return False
-    if k > 1500:
-        # too many to test pairwise; almost surely fine, let rounds retry
-        return True
-    a, b = np.triu_indices(k, 1)
-    keys = distinct[a].astype(np.int64) * n + distinct[b]
-    return not _has_bits(seen, keys).all()
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,19 @@ class TestGraphBasics:
         assert k4().regular_degree() == 3
         with pytest.raises(ParameterError):
             Graph(3, [(0, 1)]).regular_degree()
+        with pytest.raises(ParameterError, match=r"^empty graph has no degree$"):
+            Graph(0).regular_degree()
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (-1, None, "vertex count must be nonnegative, got -1"),
+            (3, [[0, 1, 2]], r"edges must be a sequence of \(u, v\) pairs"),
+        ],
+    )
+    def test_refusals(self, n, edges, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            Graph(n, edges)
 
 
 class TestEdgeListCodec:
@@ -243,6 +256,19 @@ class TestGraph6Codec:
         with pytest.raises(InputFormatError, match="outside printable range"):
             read_graph6("Dh\u00e9")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("", "empty graph6 line"),
+            (">>graph6<<", "empty graph6 line"),
+            ("~", "truncated graph6 size field"),
+            ("A@", "nonzero padding bits in graph6 body"),
+        ],
+    )
+    def test_refusals(self, line, message):
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            read_graph6(line)
+
     def test_eight_byte_size_field(self):
         # n = 258048 = 63 * 64**2 is the least n that needs "~~" and six
         # size bytes; the body check comes before any bit is unpacked
@@ -293,6 +319,10 @@ class TestGeneration:
     def test_odd_product_rejected(self):
         with pytest.raises(ParameterError):
             generate_random_regular(3, 1, seed=0)
+
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ParameterError, match=r"^need at least one vertex, got n=0$"):
+            generate_random_regular(0, 0, seed=0)
 
     def test_vertex_count_beyond_32_bit_ids_rejected(self):
         with pytest.raises(ParameterError, match="32-bit id range"):
@@ -418,6 +448,12 @@ class TestGeneration:
 
     @settings(max_examples=200, deadline=None)
     @given(pairing_cases(), st.integers(0, 2**32), st.sampled_from([1, 2, 3, 5, 200]))
+    # attempts stuck with more than one pair left, which die at the round
+    # cap: attempt 2 of G(6, 3) at seed 0 (4 stubs), and attempts 0-2 of
+    # G(38, 35) at seed 2 (8, 8 and 12 stubs)
+    @example((6, 3), 0, 200)
+    @example((38, 35), 2, 200)
+    @example((6, 3), 0, 3)
     def test_pairing_matches_reference(self, case, seed, max_rounds):
         n, d = case
         for attempt in range(3):
