@@ -307,12 +307,15 @@ def read_edge_list(path: str | Path) -> Graph:
         except OverflowError:
             huge = max(huge, u, v)
             del ends[len(ends) // 2 * 2 :]  # a half-appended row
-    edges = np.concatenate([*blocks, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)])
-    del blocks
-    max_seen = max(huge, int(edges.max(initial=-1)))
+    blocks.append(np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
+    max_seen = max(huge, *(int(block.max(initial=-1)) for block in blocks))
     n = n_header if n_header is not None else max_seen + 1
     if max_seen >= n:
         raise InputFormatError(f"vertex id {max_seen} exceeds declared count {n}")
+    # every id is below n, and Graph refuses an n beyond int32 before it
+    # reads an edge, so the int32 cast wraps nothing that Graph reads
+    edges = np.concatenate(blocks, dtype=np.int32, casting="unsafe")
+    del blocks
     try:
         # after an id beyond int64, n is beyond it too and Graph refuses n
         return Graph(n, edges)

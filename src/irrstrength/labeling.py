@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from itertools import chain
 
 import numpy as np
-from mpmath import mp
 
 from .errors import InputFormatError, ParameterError, StageFailure
 from .graphs import Graph, _read_lines, edge_lookup, edge_weights, format_rows, require_int64_sums, weighted_degrees
@@ -32,7 +32,11 @@ _STAGE_ORDER = (STAGE_INITIAL, STAGE_TUNED, STAGE_DISTINGUISHED, STAGE_FINAL)
 TUNED_ORD = _STAGE_ORDER.index(STAGE_TUNED)
 DISTINGUISHED_ORD = _STAGE_ORDER.index(STAGE_DISTINGUISHED)
 
+# the near-integer band is the larger of an absolute 1e-9 and 1e-12 of
+# the quotient: the float error of n/(k ln^p n) grows with the quotient,
+# about (p + 4) units in the last place, and 1e-12 is thousands of them
 _NEAR_INTEGER_TOL = 1e-9
+_NEAR_INTEGER_REL = 1e-12
 _EDGE_BLOCK = 1 << 16  # edges per block of the heavy test
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
@@ -54,7 +58,8 @@ class Budgets:
         asymptotically; may be nonpositive at small n, which the
         pipeline (not this function) rejects.
     near_integer_fields: fields whose real-valued quotient fell within
-        1e-9 of an integer and were re-evaluated in high precision.
+        max(1e-9, 1e-12 * quotient) of an integer and were re-evaluated
+        in high precision.
     """
 
     base: int
@@ -79,15 +84,17 @@ class Budgets:
 def _ceil_log_term(n: int, k: int, power: float) -> tuple[int, bool]:
     """ceil(n / (k * ln(n)^power)) with a near-integer guard.
 
-    Within 1e-9 of an integer the float result is untrustworthy, so the
-    quotient is recomputed at 60 significant digits and flagged.
+    Within max(1e-9, 1e-12 * q) of an integer the float result is
+    untrustworthy, so the quotient is recomputed at 60 significant
+    digits and flagged.
     """
     q = n / (k * log_power(n, power))
     frac = q - math.floor(q)
-    if min(frac, 1.0 - frac) < _NEAR_INTEGER_TOL:
-        with mp.workdps(60):
-            hq = mp.mpf(n) / (mp.mpf(k) * mp.log(n) ** mp.mpf(power))
-            return int(mp.ceil(hq)), True
+    if min(frac, 1.0 - frac) < max(_NEAR_INTEGER_TOL, _NEAR_INTEGER_REL * q):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            hq = Decimal(n) / (Decimal(k) * Decimal(n).ln() ** Decimal(power))
+            return int(hq.to_integral_value(rounding=ROUND_CEILING)), True
     return math.ceil(q), False
 
 

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from irrstrength import (
     Graph,
@@ -92,6 +93,22 @@ def brute_heavy_edges(g: Graph, part: VertexPartition, x: np.ndarray) -> list[in
     return heavy
 
 
+def ceil_oracle(n: int, k: int, power: float) -> int:
+    """ceil(n / (k ln^power n)) at 60 significant digits, through mpmath."""
+    with mp.workdps(60):
+        return int(mp.ceil(mp.mpf(n) / (mp.mpf(k) * mp.log(n) ** mp.mpf(power))))
+
+
+@st.composite
+def near_integer_terms(draw) -> tuple[int, int, float]:
+    """(n, k, power) with n / (k ln^power n) equal to an integer up to
+    the float error of the power."""
+    n = draw(st.integers(3, 2**31 - 1))
+    k = draw(st.integers(1, min(7, n // 3)) | st.integers(1, n // 3))  # a small k, a large quotient
+    target = draw(st.integers(1, n // k - 1))
+    return n, k, math.log(n / (k * target)) / math.log(math.log(n))
+
+
 class TestComputeBudgets:
     def test_frozen_reference_point(self):
         # values re-derived independently at 40 digits before freezing
@@ -137,7 +154,15 @@ class TestComputeBudgets:
         power = math.log(1000 / 200) / math.log(math.log(1000))
         value, flagged = _ceil_log_term(1000, 1, power)
         assert flagged is True
-        assert value in (200, 201)
+        assert value == ceil_oracle(1000, 1, power) == 201
+
+    @given(near_integer_terms())
+    @example((1675971720, 1, 0.25695214295285834))  # 764281385.0000000125, one float ulp off
+    @settings(max_examples=200, deadline=None)
+    def test_near_integer_terms_match_oracle(self, term):
+        # the float error of the quotient grows with it, so a fixed band
+        # misses near-integers above about 10^7
+        assert _ceil_log_term(*term) == (ceil_oracle(*term), True)
 
     def test_plain_value_not_flagged(self):
         value, flagged = _ceil_log_term(1000, 7, 1.5)

@@ -7,11 +7,15 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
+
+import pytest
 
 import irrstrength
 from irrstrength.cli import build_parser
@@ -83,10 +87,9 @@ def test_readme_cli_commands_parse():
             raise AssertionError(f"README command does not parse: {shlex.join(argv)}") from None
 
 
-def test_runtime_imports_are_stdlib_numpy_or_mpmath():
-    # the runtime dependencies stay numpy + mpmath; anything else installed
-    # here (scipy among them) is not one
-    allowed = set(sys.stdlib_module_names) | {"numpy", "mpmath"}
+def runtime_imports() -> list[tuple[str, int, str]]:
+    """(file name, line, top-level module) of each absolute import in src/."""
+    found = []
     for path in sorted((ROOT / "src" / "irrstrength").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -95,8 +98,38 @@ def test_runtime_imports_are_stdlib_numpy_or_mpmath():
                 names = [node.module]
             else:
                 continue
-            for name in names:
-                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+            found += [(path.name, node.lineno, name.split(".")[0]) for name in names]
+    return found
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # numpy is the one runtime dependency; anything else installed here
+    # (scipy, and mpmath, which the tests use as an oracle) is not one
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for name, lineno, module in runtime_imports():
+        assert module in allowed, f"{name}:{lineno} imports {module}"
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in declared}
+    imported = {module for _, _, module in runtime_imports()} - set(sys.stdlib_module_names)
+    assert names == imported
+
+
+def test_import_loads_only_stdlib_and_numpy():
+    # a fresh interpreter, so that no other test's imports are counted
+    code = (
+        "import sys; before = set(sys.modules); import irrstrength; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "irrstrength" in loaded and "mpmath" not in loaded
+    assert loaded <= set(sys.stdlib_module_names) | {"irrstrength", "numpy"}, sorted(loaded)
 
 
 def test_runtime_modules_use_every_name_they_import():
