@@ -33,10 +33,6 @@ _READ_BLOCK = 1 << 16
 _MAX_DIGITS = 18  # the longest field _read_lines parses, so it fits int64
 _KEY_BLOCK = 1 << 16  # keys per block in _has_bits and _set_bits
 _WORD_BLOCK = 1 << 15  # 64-bit words per block in _edges_of
-# the fewest stubs for which generate_random_regular shuffles the next
-# attempt on a worker thread: G(10, 3) took 2.2 ms a call that way against
-# 0.4 ms without, and the two broke even near 2^18 stubs
-_PREFETCH_STUBS = 1 << 18
 _MAX_ATTEMPTS = 200  # pairing attempts generate_random_regular makes before it gives up
 _MAX_ROUNDS = 200  # pairing rounds per attempt; it dies at this cap, or on a last pair it cannot take
 
@@ -272,17 +268,16 @@ def _put_digits(out: np.ndarray, mag: np.ndarray) -> None:
 
 def read_edge_list(path: str | Path) -> Graph:
     n_header: int | None = None
-    # the rows in file order: parsed runs of plain lines, and between them
-    # the other lines' rows, gathered in ``ends``. They are joined once at
-    # the end, since one array grown by reallocation puts a read's peak
-    # RSS wherever the heap lets it land (levels 12 MB apart at n=2500)
+    # parsed runs of plain lines, joined once at the end, since one array
+    # grown by reallocation puts a read's peak RSS wherever the heap lets
+    # it land (levels 12 MB apart at n=2500); Graph sorts the rows, so
+    # their file order need not be kept
     blocks: list[np.ndarray] = []
-    ends = array("q")  # u0, v0, u1, v1, ...
+    ends = array("q")  # the other lines' rows: u0, v0, u1, v1, ...
     huge = -1  # largest id beyond int64, which ``ends`` cannot hold
     for lineno, line in _read_lines(path, b" ", 2, signed=False):
         if isinstance(line, np.ndarray):
-            blocks += [np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), line]
-            ends = array("q")
+            blocks.append(line)
             continue
         text = line.strip()
         if not text:
@@ -504,11 +499,10 @@ def generate_random_regular(n: int, d: int, seed: int) -> Graph:
     attempt then restarts from its own derived seed. After
     ``_MAX_ATTEMPTS`` = 200 dead attempts it raises RetryExhausted.
 
-    The first shuffle of attempt k+1 depends on its seed alone, so for
-    n*d of at least ``_PREFETCH_STUBS`` one worker thread makes it while
-    attempt k pairs. The worker is joined before the call returns; a
-    shuffle made for an attempt that never runs is dropped, and so is any
-    error it raised.
+    The first shuffle of attempt k+1 depends on its seed alone, so one
+    worker thread makes it while attempt k pairs. The worker is joined
+    before the call returns; a shuffle made for an attempt that never runs
+    is dropped, and so is any error it raised.
 
     For d = n - 1 the complete graph, the only such graph, is returned
     without pairing and whatever the seed: stub pairing almost never draws
@@ -534,14 +528,11 @@ def generate_random_regular(n: int, d: int, seed: int) -> Graph:
 def _first_pairing(n: int, d: int, seed: int) -> np.ndarray | None:
     """The edges of the first of ``_MAX_ATTEMPTS`` pairing attempts that
     succeeds, or None; every stub array is freed when it returns."""
-    ahead = None
     with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(_first_shuffle, n, d, seed, 0)
         for attempt in range(_MAX_ATTEMPTS):
-            head = ahead
-            prefetch = attempt + 1 < _MAX_ATTEMPTS and n * d >= _PREFETCH_STUBS
-            ahead = pool.submit(_first_shuffle, n, d, seed, attempt + 1) if prefetch else None
-            rng, stubs = _first_shuffle(n, d, seed, attempt) if head is None else head.result()
-            del head
+            rng, stubs = ahead.result()
+            ahead = pool.submit(_first_shuffle, n, d, seed, attempt + 1)
             edges = _pairing_attempt(n, rng, stubs)
             if edges is not None:
                 return edges

@@ -210,7 +210,8 @@ def check_x_conditions(
     ):
         ids, dv, bd = v0[mask], dev[mask], bound[mask] * p.slack
         checks.append(worst_instance(
-            cond, label, dv, bd, lambda i: f"v={ids[i]} x={xa.x[ids[i]]!r} deviation {dv[i]!r} > {bd[i]!r}"
+            cond, label, dv, bd,
+            lambda i: f"v={ids[i]} x={float(xa.x[ids[i]])!r} deviation {float(dv[i])!r} > {float(bd[i])!r}",
         ))
     return ConditionReport(checks=checks, slack=p.slack)
 

@@ -155,11 +155,11 @@ def check_partition(g: Graph, part: VertexPartition, p: PipelineParams) -> Condi
     dev_deg = np.abs(part.dui - center_deg)
 
     def size_witness(i: int) -> str:
-        return f"i={i + 1} |{sizes[i]} - {center_sizes!r}| = {dev_sizes[i]!r} > {half_sizes!r}"
+        return f"i={i + 1} |{sizes[i]} - {center_sizes!r}| = {float(dev_sizes[i])!r} > {half_sizes!r}"
 
     def degree_witness(flat: int) -> str:
         v, c = divmod(flat, 7)
-        return f"v={v} i={c + 1} |{part.dui[v, c]} - {center_deg!r}| = {dev_deg[v, c]!r} > {half_deg!r}"
+        return f"v={v} i={c + 1} |{part.dui[v, c]} - {center_deg!r}| = {float(dev_deg[v, c])!r} > {half_deg!r}"
 
     return ConditionReport(
         checks=[

@@ -175,6 +175,18 @@ class TestWeight:
         assert report.read_text(encoding="utf-8") == out
         assert not weights.exists()
 
+    def test_failure_witness_prints_plain_floats(self, capsys):
+        # a numpy scalar's repr is np.float64(...) under numpy 2 and the
+        # plain number under numpy 1, so stdout must not hold one
+        rc = main(["weight", "--n", "100", "--d", "10", "--b", "1", "--eps", "0.0833",
+                   "--mode", "empirical", "--retries", "2", "--seed", "0"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "np." not in out
+        assert (
+            "witness[v=47 i=2 |3 - 0.27315421731598677| = 2.726845782684013 > 0.04049646636203641]\n"
+        ) in out
+
     def test_graph_file_input(self, tmp_path, capsys):
         graph_path = tmp_path / "g.txt"
         assert main(["gen", "--n", "100", "--d", "10", "--seed", "7",

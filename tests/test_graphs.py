@@ -394,8 +394,8 @@ class TestGeneration:
 
     @staticmethod
     def failing_prefetch(monkeypatch):
-        """Shuffle every attempt after the first ahead, on the worker, and
-        make it raise MemoryError; returns the attempts asked for."""
+        """Make the first shuffle of every attempt after attempt 0 raise
+        MemoryError on the worker; returns the attempts asked for."""
         asked = []
         real = graphs._first_shuffle
 
@@ -405,7 +405,6 @@ class TestGeneration:
                 raise MemoryError("prefetch")
             return real(n, d, seed, attempt)
 
-        monkeypatch.setattr(graphs, "_PREFETCH_STUBS", 0)
         monkeypatch.setattr(graphs, "_first_shuffle", first_shuffle)
         return asked
 
@@ -432,11 +431,11 @@ class TestGeneration:
             workers.add(threading.current_thread())
             return real(*args)
 
-        monkeypatch.setattr(graphs, "_PREFETCH_STUBS", 0)
         monkeypatch.setattr(graphs, "_first_shuffle", first_shuffle)
         assert [self.attempt_succeeds(60, 5, 3, k) for k in range(3)] == [False, False, True]
         generate_random_regular(60, 5, seed=3)
         assert workers - before, "no attempt was shuffled on a worker"
+        assert threading.current_thread() not in workers, "an attempt was shuffled on the calling thread"
         assert set(threading.enumerate()) == before
         with mock.patch.object(graphs, "_MAX_ATTEMPTS", 3), pytest.raises(RetryExhausted):
             generate_random_regular(12, 10, seed=2)
@@ -480,8 +479,7 @@ class TestGeneration:
         if want is None and d == n - 1:
             # the complete graph comes without pairing, even where every attempt fails
             want = complete_edges(n)
-        # every attempt after the first is shuffled ahead on the worker
-        with mock.patch.object(graphs, "_PREFETCH_STUBS", 0), mock.patch.object(graphs, "_MAX_ATTEMPTS", max_attempts):
+        with mock.patch.object(graphs, "_MAX_ATTEMPTS", max_attempts):
             if want is None:
                 with pytest.raises(RetryExhausted):
                     generate_random_regular(n, d, seed)

@@ -280,12 +280,10 @@ class TestFindX:
             find_x(g, part, empirical(slack=1.0, retries=2), seed=6)
         assert exc.value.stage == "x"
         assert exc.value.kind == "x_conditions"
-        # the witness prints numpy scalars, whose repr differs between numpy 1 and 2
-        x, dev, bound = map(np.float64, (0.5009975265671548, 4.4910222608956065, 0.12779234150630897))
         assert str(exc.value) == (
             "no x assignment met conditions (3°)-(6°) in 3 attempts; tightest: "
-            "(5°) heavy count vs x: FAIL measured=4.4910222608956065 "
-            f"bound=0.12779234150630897 witness[v=52 x={x!r} deviation {dev!r} > {bound!r}]"
+            "(5°) heavy count vs x: FAIL measured=4.4910222608956065 bound=0.12779234150630897 "
+            "witness[v=52 x=0.5009975265671548 deviation 4.4910222608956065 > 0.12779234150630897]"
         )
 
 
