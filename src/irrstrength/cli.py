@@ -2,7 +2,8 @@
 the exact small-graph solver, bound tables, and the Monte Carlo lab.
 
 Exit codes: 0 success (or verified irregular), 1 verified not
-irregular, 2 stage failure, 3 parameter or input error, or too little
+irregular, 2 stage failure, a generator that gave up (``RetryExhausted``)
+or an argparse usage error, 3 parameter or input error, or too little
 memory for the input (as for ``gen`` with n in the millions, whose
 pairing table takes n*n bits).
 """

@@ -67,10 +67,12 @@ class _Pass:
     state: WeightingState
     strict: bool
     m: int
-    class_sizes: np.ndarray
-    anchor_low: np.ndarray
-    class_lows: list[set[int]]
-    holders: dict[int, list[int]]
+
+    def __post_init__(self) -> None:
+        self.class_sizes = self.part.class_sizes()
+        self.anchor_low = np.full(self.g.n, -1, dtype=np.int64)
+        self.class_lows: list[set[int]] = [set() for _ in range(7)]
+        self.holders: dict[int, list[int]] = {}
 
     def register(self, v: int, low: int) -> None:
         self.anchor_low[v] = low
@@ -389,23 +391,12 @@ def run_distinguishing(
     # every control edge starts one coarse step up; this initialization
     # is not a modification in the at-most-twice contract
     peids = np.flatnonzero(part.in_u[g.edges[:, 0]] & part.in_u[g.edges[:, 1]])
-    if peids.size:
-        state.weights[peids] += m
-        state.last_mod_stage[peids] = DISTINGUISHED_ORD
-        # du counts the control edges at each vertex of U
-        state.sigma[u_verts] += np.multiply(part.du[u_verts], m, dtype=np.int64)
+    state.weights[peids] += m
+    state.last_mod_stage[peids] = DISTINGUISHED_ORD
+    # du counts the control edges at each vertex of U
+    state.sigma[u_verts] += np.multiply(part.du[u_verts], m, dtype=np.int64)
 
-    ps = _Pass(
-        g=g,
-        part=part,
-        state=state,
-        strict=params.strict,
-        m=m,
-        class_sizes=part.class_sizes(),
-        anchor_low=np.full(g.n, -1, dtype=np.int64),
-        class_lows=[set() for _ in range(7)],
-        holders={},
-    )
+    ps = _Pass(g, part, state, params.strict, m)
 
     orders = components_with_order(g, within=part.in_u)
     endgame: list[int] = []

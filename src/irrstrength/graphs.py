@@ -13,7 +13,6 @@ import re
 from array import array
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
@@ -421,7 +420,7 @@ def write_graph6(graph: Graph) -> str:
         # column-major upper triangle: bit for (u, v), u < v, at v(v-1)/2 + u
         bits[v * (v - 1) // 2 + u] = 1
     groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    return (head + bytes((groups + 63).astype(np.uint8).tolist())).decode("ascii")
+    return (head + (groups + 63).tobytes()).decode("ascii")
 
 
 def read_graph6(line: str) -> Graph:
@@ -669,21 +668,13 @@ def _set_bits(bitset: np.ndarray, keys: np.ndarray) -> None:
 # subgraphs and traversal
 
 
-@dataclass
-class IndexMap:
-    """Vertex and edge correspondence between a graph and a parent."""
-
-    new_to_old: np.ndarray
-    old_to_new: np.ndarray
-    edge_parent: np.ndarray
-
-
-def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMap]:
-    """Subgraph induced on ``vertices`` with maps back to the parent.
+def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced on ``vertices``, with its parent edge ids.
 
     Vertices are relabeled 0..k-1 in ascending parent order; that keeps
-    the relabeling monotone, so canonical edge order is preserved and
-    ``edge_parent[i]`` is the parent edge id of sub edge i.
+    the relabeling monotone, so canonical edge order is preserved. The
+    second value holds the int32 parent edge ids, ascending: entry i is
+    the parent id of sub edge i.
     """
     raw = np.asarray(vertices)
     if raw.size and not np.issubdtype(raw.dtype, np.integer):
@@ -700,8 +691,7 @@ def induced_subgraph(graph: Graph, vertices: np.ndarray) -> tuple[Graph, IndexMa
     emask = ends[:, 0] & ends[:, 1]
     del ends
     edge_parent = np.flatnonzero(emask).astype(np.int32)
-    sub = Graph(k, old_to_new[graph.edges[edge_parent]])
-    return sub, IndexMap(new_to_old=verts.astype(np.int32), old_to_new=old_to_new, edge_parent=edge_parent)
+    return Graph(k, old_to_new[graph.edges[edge_parent]]), edge_parent
 
 
 def components_with_order(graph: Graph, within: np.ndarray | None = None) -> list[np.ndarray]:

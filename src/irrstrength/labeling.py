@@ -372,16 +372,14 @@ def assign_omega_prime(
         _, u_eids = part.u_edges(g, int(order[idx]))
         full, rem = divmod(delta, cap)
         w[u_eids[:full]] += cap
-        state.last_mod_stage[u_eids[:full]] = TUNED_ORD
-        if rem:
-            w[u_eids[full]] += rem
-            state.last_mod_stage[u_eids[full]] = TUNED_ORD
+        w[u_eids[full : full + 1]] += rem
+        state.last_mod_stage[u_eids[: full + (rem > 0)]] = TUNED_ORD
 
     state.sigma = weighted_degrees(g, w)
     if not np.array_equal(state.sigma[order], targets):
         raise RuntimeError("tuning stage failed to hit its targets; internal invariant broken")
     state.stage = STAGE_TUNED
-    state.v0_sigma_at_tuned = state.sigma[part.v0_vertices()].copy()
+    state.v0_sigma_at_tuned = state.sigma[part.v0_vertices()]
 
     u_verts = part.u_vertices()
     max_v0 = int(targets[-1]) if n0 else 0

@@ -351,6 +351,17 @@ class TestExact:
             "0,1,1\n0,6,1\n1,2,2\n2,3,2\n3,4,3\n4,5,4\n5,6,5\n"
         )
 
+    def test_witness_block_passes_verify(self, tmp_path, capsys):
+        # the lines from u,v,weight on are a weight CSV; the strength and
+        # nodes lines above them are not
+        p3 = write_p3(tmp_path)
+        assert main(["exact", "--graph", str(p3)]) == 0
+        out = capsys.readouterr().out
+        weights = tmp_path / "w.csv"
+        weights.write_text(out[out.index("u,v,weight\n") :], encoding="ascii")
+        assert main(["verify", "--graph", str(p3), "--weights", str(weights)]) == 0
+        assert capsys.readouterr().out.startswith("irregular=True\n")
+
     def test_kmax_exceeded_has_no_witness_block(self, tmp_path, capsys):
         c5 = tmp_path / "c5.g6"
         c5.write_text("Dhc\n", encoding="ascii")

@@ -255,17 +255,7 @@ class TestExhaustedInterval:
 def hand_pass(g: Graph, part, state: WeightingState, strict: bool, m: int, anchors: dict[int, int]) -> _Pass:
     """A pass over ``state`` whose analyzed vertices are the keys of
     ``anchors``, each registered at the pair its value names."""
-    ps = _Pass(
-        g=g,
-        part=part,
-        state=state,
-        strict=strict,
-        m=m,
-        class_sizes=part.class_sizes(),
-        anchor_low=np.full(g.n, -1, dtype=np.int64),
-        class_lows=[set() for _ in range(7)],
-        holders={},
-    )
+    ps = _Pass(g, part, state, strict, m)
     for v, low in anchors.items():
         ps.register(v, low)
     return ps

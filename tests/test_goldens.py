@@ -31,6 +31,7 @@ import pytest
 from irrstrength import PipelineParams, generate_random_regular, run_pipeline, write_edge_list
 from irrstrength import pipeline
 from irrstrength.cli import main
+from irrstrength.labeling import read_weights_csv
 from irrstrength.report import ConditionReport
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
@@ -126,6 +127,33 @@ def test_verify_stage_reports_the_label_bound(reference_graph, separated, monkey
         False, "verification", "bound", "max label 30 exceeds the cap 30",
     )
     assert [stage for stage, _ in res.timings] == STAGES
+
+
+def test_success_returns_and_writes_the_weights(reference_graph, separated, monkeypatch, tmp_path, capsys):
+    # the stand-in clears only the verdict of the real verifier, so this
+    # is the one route to a successful run at this size; verify on the
+    # written weights, with nothing patched, still finds the collision
+    real = pipeline.finalize_and_check
+
+    def cleared(*args):
+        return dataclasses.replace(real(*args), irregular=True, witness=None, bound_ok=True)
+
+    monkeypatch.setattr(pipeline, "finalize_and_check", cleared)
+    res = run_pipeline(reference_graph, PARAMS, seed=0)
+    assert (res.success, res.failure_stage, res.failure_kind, res.failure_message) == (True, None, None, None)
+    assert [stage for stage, _ in res.timings] == STAGES
+
+    graph, weights = tmp_path / "g.txt", tmp_path / "w.csv"
+    write_edge_list(reference_graph, graph)
+    rc = main(["weight", "--graph", str(graph), "--b", "0.2", "--eps", "0.05", "--mode", "empirical",
+               "--seed", "0", "--out-weights", str(weights)])
+    assert rc == 0
+    assert weights.read_text(encoding="ascii").startswith("# stage=final n=5000 d=1242 b=0.2 eps=0.05 seed=0\n")
+    assert np.array_equal(read_weights_csv(str(weights), reference_graph), res.state.weights)
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert main(["verify", "--graph", str(graph), "--weights", str(weights)]) == 1
+    assert "witness=3,4521\n" in capsys.readouterr().out
 
 
 def test_weight_writes_no_weights_when_verification_fails(reference_graph, separated, tmp_path, capsys):
