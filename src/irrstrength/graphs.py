@@ -329,7 +329,8 @@ def _read_lines(
     its first line; every other line comes as a str without its line end.
     A line with a non-ASCII byte raises InputFormatError when it is
     reached. Only one block of about ``_READ_BLOCK`` bytes is parsed at a
-    time.
+    time; a block without ``\r`` and a run whose ``sep`` is already the
+    space that ``np.fromstring`` splits at are parsed without a copy.
     """
     lineno = 1
     with open(path, "rb") as fh:
@@ -339,7 +340,9 @@ def _read_lines(
             first = 0  # first line of the next plain run
             for other in [*np.flatnonzero(~plain).tolist(), stops.size]:
                 if other > first:
-                    run = text[starts[first] : stops[other - 1]].replace(sep, b" ")
+                    run = text[starts[first] : stops[other - 1]]
+                    if sep != b" ":
+                        run = run.replace(sep, b" ")
                     yield lineno + first, np.fromstring(run, dtype=np.int64, sep=" ").reshape(-1, fields)
                 if other < stops.size:
                     line = text[starts[other] : stops[other]]
@@ -367,6 +370,8 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
 
 
 def _to_newlines(text: bytes) -> bytes:
+    if b"\r" not in text:
+        return text
     return text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
@@ -374,30 +379,29 @@ def _plain_lines(data: np.ndarray, sep: int, fields: int, signed: bool) -> tuple
     """Offsets of the line ends in ``data``, the bytes of whole lines, and
     which of the lines are plain in the sense of ``_read_lines``.
 
-    A line is told plain by its non-digit bytes alone: they must be
-    ``sep`` fields - 1 times and then the line end, each preceded by 1 to
-    18 digits; when ``signed``, a ``-`` right after the last ``sep`` may
-    come before the line end too.
+    A line is told plain by its non-digit bytes, its marks, alone. A mark
+    closes a field when 1 to 18 digits come right before it. The line is
+    plain when it has ``fields - 1`` field-closing ``sep`` marks, its end
+    closes a field, and it has no other mark, except, when ``signed``, a
+    ``-`` with no digit before it, right before the end.
     """
     marks = np.flatnonzero((data - np.uint8(ord("0"))) > 9)  # bytes other than 0..9
     kinds = data[marks]
     digits = np.diff(marks, prepend=-1)
     digits -= 1  # digits just before each mark
+    field = (digits >= 1) & (digits <= _MAX_DIGITS)
     line_ends = np.flatnonzero(kinds == ord("\n"))  # the marks that end a line
     per_line = np.diff(line_ends, prepend=-1)
-    field, end = (sep, 1, _MAX_DIGITS), (ord("\n"), 1, _MAX_DIGITS)
-    layouts = [[field] * (fields - 1) + [end]]
+    # field-closing seps per line, from one running count
+    seps = np.diff(np.cumsum(field & (kinds == sep))[line_ends], prepend=0)
+    plain = (seps == fields - 1) & field[line_ends]
+    whole = per_line == fields
     if signed:
-        layouts.append([field] * (fields - 1) + [(ord("-"), 0, 0), end])
-    plain = np.zeros(line_ends.size, dtype=bool)
-    for layout in layouts:
-        rows = np.flatnonzero(per_line == len(layout))
-        last = line_ends[rows]
-        ok = np.ones(rows.size, dtype=bool)
-        for back, (kind, least, most) in enumerate(reversed(layout)):
-            ok &= kinds[last - back] == kind
-            ok &= (digits[last - back] >= least) & (digits[last - back] <= most)
-        plain[rows[ok]] = True
+        # the mark before a line end; it wraps to -1 only for a first line
+        # of one mark, which whole never takes
+        sign = line_ends - 1
+        whole |= (per_line == fields + 1) & (kinds[sign] == ord("-")) & (digits[sign] == 0)
+    plain &= whole
     return marks[line_ends], plain
 
 

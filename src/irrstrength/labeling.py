@@ -437,10 +437,14 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
 
     Each run of rows is resolved to edge ids as soon as it is read, so
     the first faulty line is the one reported: one that does not parse,
-    names no edge, or repeats an edge."""
+    names no edge, or repeats an edge. A run that goes on in edge-id order
+    from the last row resolved, as the writers emit, takes those ids
+    without a search; any other run is looked up, one binary search per
+    row."""
     n, lookup = g.n, edge_lookup(g)
     weights = np.empty(g.num_edges, dtype=np.int64)
     given = np.zeros(g.num_edges + 1, dtype=bool)  # given[-1], read for a non-edge, stays False
+    start = 0  # the edge id after the last row resolved
     for lineno, rows in _read_lines(path, b",", 3, signed=True):
         if not isinstance(rows, np.ndarray):
             text = rows.strip()
@@ -458,18 +462,27 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputFormatError(f"line {lineno}: edge ({u},{v}) not in graph")
             rows = np.array([[u, v, wt]], dtype=np.int64)
-        eids = lookup(rows[:, 0], rows[:, 1])
-        repeat = np.ones(eids.size, dtype=bool)
-        repeat[np.unique(eids, return_index=True)[1]] = False
-        bad = np.flatnonzero((eids < 0) | given[eids] | repeat)
+        stop = start + rows.shape[0]
+        if np.array_equal(rows[:, :2], g.edges[start:stop]):
+            # the ids start..stop-1: edges, and distinct, so a fault can
+            # only be an id that an earlier line gave
+            eids = slice(start, stop)
+            bad = np.flatnonzero(given[eids])
+        else:
+            eids = lookup(rows[:, 0], rows[:, 1])
+            repeat = np.ones(eids.size, dtype=bool)
+            repeat[np.unique(eids, return_index=True)[1]] = False
+            bad = np.flatnonzero((eids < 0) | given[eids] | repeat)
+            stop = int(eids[-1]) + 1
         if bad.size:
             row = int(bad[0])
             u, v, _ = rows[row].tolist()
-            if eids[row] < 0:
+            if isinstance(eids, np.ndarray) and eids[row] < 0:
                 raise InputFormatError(f"line {lineno + row}: edge ({u},{v}) not in graph")
             raise InputFormatError(f"line {lineno + row}: duplicate weight for edge ({u},{v})")
         given[eids] = True
         weights[eids] = rows[:, 2]
+        start = stop
     if not given[:-1].all():
         u, v = g.edges[np.argmin(given[:-1])]
         raise InputFormatError(f"no weight given for edge ({u},{v})")

@@ -3,7 +3,11 @@ parse, kept verbatim but for the bulk edge lookup that the weight reader
 calls, as the reference that the readers must reproduce: the
 same graph or weights for every file, and the same message for every
 fault. They read in text mode, so a non-ASCII byte makes them raise
-UnicodeDecodeError, which the readers now report as a fault of its line."""
+UnicodeDecodeError, which the readers now report as a fault of its line.
+
+``plain_lines`` is the bulk reader's first line classifier, one pass per
+layout and field, as the reference for the one-count classifier in
+``graphs._plain_lines``."""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from irrstrength.errors import InputFormatError, ParameterError
-from irrstrength.graphs import Graph, edge_lookup
+from irrstrength.graphs import _MAX_DIGITS, Graph, edge_lookup
 
 _HEADER_RE = re.compile(r"#\s*(\d+)\s+(\d+)\s*$")
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -108,3 +112,34 @@ def read_weights_csv(path: str, g: Graph) -> np.ndarray:
     weights = np.empty(g.num_edges, dtype=np.int64)
     weights[eids] = rows[:, 2]
     return weights
+
+
+def plain_lines(data: np.ndarray, sep: int, fields: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the line ends in ``data``, the bytes of whole lines, and
+    which of the lines are plain in the sense of ``graphs._read_lines``.
+
+    A line is told plain by its non-digit bytes alone: they must be
+    ``sep`` fields - 1 times and then the line end, each preceded by 1 to
+    18 digits; when ``signed``, a ``-`` right after the last ``sep`` may
+    come before the line end too.
+    """
+    marks = np.flatnonzero((data - np.uint8(ord("0"))) > 9)  # bytes other than 0..9
+    kinds = data[marks]
+    digits = np.diff(marks, prepend=-1)
+    digits -= 1  # digits just before each mark
+    line_ends = np.flatnonzero(kinds == ord("\n"))  # the marks that end a line
+    per_line = np.diff(line_ends, prepend=-1)
+    field, end = (sep, 1, _MAX_DIGITS), (ord("\n"), 1, _MAX_DIGITS)
+    layouts = [[field] * (fields - 1) + [end]]
+    if signed:
+        layouts.append([field] * (fields - 1) + [(ord("-"), 0, 0), end])
+    plain = np.zeros(line_ends.size, dtype=bool)
+    for layout in layouts:
+        rows = np.flatnonzero(per_line == len(layout))
+        last = line_ends[rows]
+        ok = np.ones(rows.size, dtype=bool)
+        for back, (kind, least, most) in enumerate(reversed(layout)):
+            ok &= kinds[last - back] == kind
+            ok &= (digits[last - back] >= least) & (digits[last - back] <= most)
+        plain[rows[ok]] = True
+    return marks[line_ends], plain

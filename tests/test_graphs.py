@@ -881,6 +881,16 @@ class TestProperties:
         tmp = tmp_path_factory.mktemp("el")
         assert_reads_like_reference(tmp, data, block, read_edge_list, reader_reference.read_edge_list)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(b"0123456789" * 4 + b" ,-\n#\tx"), max_size=120))
+    @example(list(b"1" * 18 + b",2,-" + b"3" * 18 + b"\n" + b"4" * 19 + b" 5\n-6 7\n8,-9,1\n8,9,1-2\n5 " + b"6" * 19))
+    def test_line_classifier_matches_layout_loop(self, chars):
+        data = np.frombuffer(bytes(chars) + b"\n", dtype=np.uint8)
+        for sep, fields, signed in ((b" ", 2, False), (b",", 3, True), (b",", 3, False)):
+            stops, plain = graphs._plain_lines(data, sep[0], fields, signed)
+            want_stops, want_plain = reader_reference.plain_lines(data, sep[0], fields, signed)
+            assert (stops.tolist(), plain.tolist()) == (want_stops.tolist(), want_plain.tolist())
+
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs(), st.integers(1, 8), st.data())
     def test_writers_match_row_loop(self, tmp_path_factory, case, block, data):

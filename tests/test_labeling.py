@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from irrstrength import (
     weighted_degrees,
     write_weights_csv,
 )
-from irrstrength import labeling
+from irrstrength import graphs, labeling
 from irrstrength.labeling import (
     Budgets,
     XAssignment,
@@ -550,8 +551,13 @@ def weights_csv_files(draw) -> tuple[Graph, bytes]:
     """A graph and a weights CSV for it that mixes the writer's plain rows
     with every other line the reader meets: spaced, signed and padded
     fields, headers, comments, blank lines, faulty rows, missing and
-    repeated edges, and ids and weights of 18 to 21 digits."""
+    repeated edges, and ids and weights of 18 to 21 digits. In half the
+    draws the rows keep the writer's edge-id order, so that those lines
+    fall inside runs that go on in order."""
     n, edges = draw(simple_graphs(max_n=8))
+    in_order = draw(st.booleans())
+    if in_order:
+        edges = Graph(n, edges).edges.tolist()
     weights = st.one_of(
         st.integers(-5, 50),
         st.integers(-(2**63), 2**63 - 1),
@@ -561,7 +567,8 @@ def weights_csv_files(draw) -> tuple[Graph, bytes]:
     # each edge once, but now and then missing or twice
     copies = draw(st.lists(st.sampled_from([1] * 8 + [0, 2]), min_size=len(edges), max_size=len(edges)))
     lines = [draw(row_texts((u, v, draw(weights)), [","])) for (u, v), k in zip(edges, copies) for _ in range(k)]
-    lines = draw(st.permutations(lines))
+    if not in_order:
+        lines = draw(st.permutations(lines))
     others = st.sampled_from(["", "  ", "# stage=final", "u,v,weight", "0,1", "0,1,x", "0,1,2,3", "0;1;2", "0,1,\xe9"])
     for _ in range(draw(st.integers(0, 4))):
         line = draw(st.one_of(others, st.tuples(ids(n), ids(n), weights).flatmap(lambda r: row_texts(r, [","]))))
@@ -634,6 +641,37 @@ class TestWeightsCsv:
             path = tmp_path / f"w{seed}.csv"
             path.write_text("\n".join(lines) + "\n")
             assert np.array_equal(read_weights_csv(str(path), g), weights)
+
+    def test_in_order_run_onto_given_ids_is_a_duplicate(self, tmp_path):
+        # after edges 0-4 the last run goes on in order, onto edges 5 and 6,
+        # which the first run already gave
+        g = Graph(12, [(i, i + 1) for i in range(11)])
+        rows = [f"{i},{i + 1},{i}" for i in range(5, 10)]
+        rows += ["# again"] + [f"{i},{i + 1},{i}" for i in range(5)]
+        rows += ["# again"] + [f"{i},{i + 1},{i}" for i in range(5, 7)]
+        path = tmp_path / "w.csv"
+        path.write_text("\n".join(rows) + "\n")
+        for read in (read_weights_csv, reader_reference.read_weights_csv):
+            with pytest.raises(InputFormatError, match=r"^line 13: duplicate weight for edge \(5,6\)$"):
+                read(str(path), g)
+
+    def test_writer_order_needs_no_search(self, tmp_path):
+        # every run of a written file goes on in edge-id order, so none is
+        # looked up, also when small blocks cut the file into many runs
+        g = generate_random_regular(60, 5, seed=0)
+        weights = np.random.default_rng(0).integers(-(2**62), 2**62, size=g.num_edges)
+        path = str(tmp_path / "w.csv")
+        write_weights_csv(g, SimpleNamespace(stage="final", weights=weights), path, 60, 5, 1.0, 0.5, 0)
+
+        def no_search(g):
+            def lookup(us, vs):
+                raise AssertionError("a writer-order run was looked up")
+
+            return lookup
+
+        with mock.patch.object(labeling, "edge_lookup", no_search), mock.patch.object(graphs, "_READ_BLOCK", 64):
+            back = read_weights_csv(path, g)
+        assert np.array_equal(back, weights)
 
     def test_earlier_fault_wins(self, tmp_path):
         # a non-edge on line 3 comes before the unparsable line 4
