@@ -23,6 +23,7 @@ from .graphs import (
     read_graph6,
     write_edge_list,
     write_graph6,
+    write_text,
 )
 from .lab import binomial_tail_estimate, chernoff_bounds, condition_failure_rates
 from .labeling import compute_budgets, read_weights_csv, weight_rows, write_weights_csv
@@ -88,8 +89,7 @@ def _resolve_params(args: argparse.Namespace) -> PipelineParams:
 def _cmd_gen(args: argparse.Namespace) -> int:
     g = generate_random_regular(args.n, args.d, args.seed)
     if args.format == "graph6":
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(write_graph6(g) + "\n")
+        write_text(args.out, [write_graph6(g) + "\n"])
     else:
         write_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges}")
@@ -117,8 +117,7 @@ def _cmd_weight(args: argparse.Namespace) -> int:
     text = result.to_text()
     sys.stdout.write(text)
     if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out_report, [text], encoding="utf-8")
     if result.success and args.out_weights:
         write_weights_csv(
             g, result.state, args.out_weights,
@@ -172,8 +171,7 @@ def _cmd_lab_chernoff(args: argparse.Namespace) -> int:
     )
     text = header + "\n" + row + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, [text], encoding="utf-8")
     sys.stdout.write(text)
     return 0
 
@@ -186,8 +184,7 @@ def _cmd_lab_conditions(args: argparse.Namespace) -> int:
     )
     text = table.to_csv()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, [text], encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

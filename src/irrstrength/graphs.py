@@ -9,10 +9,13 @@ canonical ordering is part of the contract, not an implementation detail.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
 
@@ -195,12 +198,24 @@ def weighted_degrees(g: Graph, weights: np.ndarray) -> np.ndarray:
 # file formats
 
 
+def write_text(path: str | Path, chunks: Iterable[str], encoding: str = "ascii") -> None:
+    """Write the chunks over the file's old bytes, then cut it where they
+    end, even when a chunk raises. Truncating at open would wait for the
+    old pages to reach the disk (ext4 flushes a file replaced that way);
+    a pipe and /dev/null cannot be cut, so only a regular file is."""
+    with open(path, "w", encoding=encoding, opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a plain edge list; the leading comment records the vertex
     count so graphs with isolated vertices survive a round trip."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {graph.n} {graph.num_edges}\n")
-        fh.writelines(format_rows(" ", graph.edges[:, 0], graph.edges[:, 1]))
+    header = f"# {graph.n} {graph.num_edges}\n"
+    write_text(path, chain([header], format_rows(" ", graph.edges[:, 0], graph.edges[:, 1])))
 
 
 def format_rows(sep: str, *columns: np.ndarray) -> Iterator[str]:

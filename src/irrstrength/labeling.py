@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputFormatError, ParameterError, StageFailure
-from .graphs import Graph, _read_lines, edge_lookup, edge_weights, format_rows, require_int64_sums, weighted_degrees
+from .graphs import Graph, _read_lines, edge_lookup, edge_weights, format_rows, require_int64_sums, weighted_degrees, write_text
 from .partition import PipelineParams, VertexPartition, log_power
 from .report import ConditionReport, las_vegas, worst_instance
 
@@ -426,10 +426,8 @@ def write_weights_csv(
     eps: float,
     seed: int,
 ) -> None:
-    rows = weight_rows(g, state.weights)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# stage={state.stage} n={n} d={d} b={b!r} eps={eps!r} seed={seed}\n")
-        fh.writelines(rows)
+    comment = f"# stage={state.stage} n={n} d={d} b={b!r} eps={eps!r} seed={seed}\n"
+    write_text(path, chain([comment], weight_rows(g, state.weights)))
 
 
 def read_weights_csv(path: str, g: Graph) -> np.ndarray:

@@ -76,6 +76,28 @@ class TestGen:
         assert rc == 3
         assert err.startswith("error: IRRSTRENGTH_SEED must be an integer")
 
+    def test_dev_null_output_exits_0(self, capsys):
+        # /dev/null looks seekable but cannot be cut
+        assert main(["gen", "--n", "10", "--d", "3", "--seed", "1", "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, out_flag, rc", [
+        (["gen", "--n", "10", "--d", "3", "--seed", "1"], "--out", 0),
+        (["weight", "--n", "100", "--d", "10", "--preset", "headline", "--mode", "empirical",
+          "--retries", "2", "--seed", "0"], "--out-report", 2),
+    ])
+    def test_pipe_output_equals_a_file(self, tmp_path, capsys, argv, out_flag, rc):
+        # a pipe cannot be cut; both outputs fit in its buffer
+        assert main(argv + [out_flag, str(tmp_path / "out")]) == rc
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                assert main(argv + [out_flag, f"/dev/fd/{write_end}"]) == rc
+            finally:
+                os.close(write_end)
+            assert pipe.read() == (tmp_path / "out").read_bytes()
+        assert capsys.readouterr().err == ""
+
     def test_odd_degree_sum_exits_3(self, tmp_path, capsys):
         rc = main(["gen", "--n", "5", "--d", "3", "--seed", "0",
                    "--out", str(tmp_path / "g.txt")])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import re
 import threading
 import tracemalloc
@@ -225,6 +226,66 @@ class TestWriters:
         for m in (0, block - 1, block, block + 1, 2 * block + 3):
             g = Graph(n, pairs[:m])
             assert_writers_match_reference(g, rng.integers(-(10**12), 10**12, m), tmp_path)
+
+
+def write_both(folder, name: str, g: Graph) -> tuple:
+    """Write g's edge list and a weights file at folder/name plus a
+    suffix, returning the two paths."""
+    graph_path, weights_path = folder / f"{name}.txt", folder / f"{name}.csv"
+    write_edge_list(g, graph_path)
+    state = SimpleNamespace(stage="final", weights=np.arange(g.num_edges) - 3)
+    write_weights_csv(g, state, str(weights_path), n=g.n, d=3, b=0.2, eps=0.05, seed=7)
+    return graph_path, weights_path
+
+
+class TestOutputFiles:
+    """The writers overwrite a file in place; what is left must be what a
+    write to a fresh path gives, and the file must stay the same file."""
+
+    LONG = Graph(12, complete_edges(12))
+    SHORT = Graph(4, [(0, 1), (2, 3)])
+
+    def test_shorter_rewrite_equals_a_fresh_write(self, tmp_path):
+        fresh = write_both(tmp_path, "fresh", self.SHORT)
+        write_both(tmp_path, "old", self.LONG)
+        for got, want in zip(write_both(tmp_path, "old", self.SHORT), fresh):
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_symlink_is_written_through(self, tmp_path):
+        fresh = write_both(tmp_path, "fresh", self.SHORT)
+        targets = write_both(tmp_path, "target", self.LONG)
+        for target in targets:
+            (tmp_path / f"link{target.suffix}").symlink_to(target)
+        for link, target, want in zip(write_both(tmp_path, "link", self.SHORT), targets, fresh):
+            assert link.is_symlink() and os.readlink(link) == str(target)
+            assert target.read_bytes() == want.read_bytes()
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        fresh = write_both(tmp_path, "fresh", self.SHORT)
+        for path in write_both(tmp_path, "one", self.LONG):
+            os.link(path, tmp_path / f"two{path.suffix}")
+        write_both(tmp_path, "one", self.SHORT)
+        for path, want in zip((tmp_path / "two.txt", tmp_path / "two.csv"), fresh):
+            assert path.read_bytes() == want.read_bytes()
+
+    def test_mode_is_kept(self, tmp_path):
+        fresh = write_both(tmp_path, "fresh", self.SHORT)
+        for path in write_both(tmp_path, "old", self.LONG):
+            path.chmod(0o640)
+        for path, want in zip(write_both(tmp_path, "old", self.SHORT), fresh):
+            assert path.stat().st_mode & 0o777 == 0o640
+            assert path.read_bytes() == want.read_bytes()
+
+    def test_a_failed_write_leaves_only_what_it_wrote(self, tmp_path):
+        def chunks():
+            yield "first\n"
+            raise ValueError("chunk failed")
+
+        path = tmp_path / "out.txt"
+        path.write_text("an older and much longer file\n" * 100)
+        with pytest.raises(ValueError, match="chunk failed"):
+            graphs.write_text(path, chunks())
+        assert path.read_bytes() == b"first\n"
 
 
 class TestGraph6Codec:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -595,7 +596,7 @@ class TestWeightsCsv:
         write_weights_csv(g, state, path, n=6, d=2, b=1.0, eps=0.5, seed=99)
         back = read_weights_csv(path, g)
         assert np.array_equal(back, state.weights)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.startswith("# stage=initial n=6 d=2 ")
         assert "seed=99" in text.splitlines()[0]
         assert text.splitlines()[1] == "u,v,weight"
